@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .activity import ActivitySeries, batch_coarsen, coarsen
 from .communities import (Covering, FitnessParams, covering_stats,
                           detect_communities, read_covering, write_covering)
-from .compare import conditional_term, membership_matrix, nmi, nmi_matrix, pair_entropies
+from .compare import nmi, nmi_matrix
 from .edgestats import (EdgeClass, classify_edge, conditional_weights,
                         median_low, partition_edges, size_ccdf)
 from .infotheory import (EntropyEstimate, WindowSample, lag_sweep,
@@ -32,13 +32,13 @@ __all__ = [
     "EventLog", "FilterReport", "FitnessParams", "HashtagVector",
     "InfoEventCounts", "PlantedTruth", "StructuralGraph", "SynthConfig",
     "WeightedDigraph", "WindowSample", "batch_coarsen", "classify_edge",
-    "coarsen", "conditional_term", "conditional_weights",
+    "coarsen", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",
     "detect_communities", "filter_active", "generate", "giant_scc",
     "hashtag_similarity_weights", "hashtag_tfidf_vectors", "lag_sweep",
-    "median_low", "membership_matrix", "mention_retweet_weights",
+    "median_low", "mention_retweet_weights",
     "mention_share_weights", "nmi", "nmi_matrix", "orphans",
-    "pair_entropies", "pairwise_transfer_entropy", "parse_events",
+    "pairwise_transfer_entropy", "parse_events",
     "partition_edges", "plugin_entropy", "read_covering", "read_events",
     "read_follow_edges", "retweet_share_weights", "size_ccdf",
     "structural_weights", "transfer_entropy", "transfer_entropy_weights",

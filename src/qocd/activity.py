@@ -82,11 +82,11 @@ def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
                   retweets_count_as_activity: bool = True,
                   ) -> dict[str, ActivitySeries]:
     """Activity series for every graph node, sharing origin and length."""
+    if bin_width < 1:
+        raise ValueError("bin_width must be >= 1")
     if not graph.nodes:
         return {}
     origin, end = window if window is not None else default_window(log, bin_width)
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
     if origin > end:
         raise ValueError("window origin must not exceed its end")
     length = series_length(origin, end, bin_width)

@@ -50,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
@@ -268,11 +279,12 @@ def cmd_edges(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
+    graph = read_follow_edges(Path(args.graph)) if args.graph else None
     rows = []
     for path in sorted(args.coverings):
         path = Path(path)
         label = path.stem.removeprefix("covering_")
-        universe = _covering_universe(path, args)
+        universe = _named_nodes(path) if graph is None else graph.nodes
         covering = read_covering(path, universe)
         stats = covering_stats(covering)
         rows.append((label, stats["communities"], stats["singletons"]))
@@ -294,10 +306,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _covering_universe(path: Path, args) -> frozenset[str]:
-    if args.graph:
-        return read_follow_edges(Path(args.graph)).nodes
-    # without a graph, fall back to the nodes named in the file itself
+def _named_nodes(path: Path) -> frozenset[str]:
+    """Universe of a covering file read without a graph: the ids it names."""
     members = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -433,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.4)
     p.add_argument("--rho", type=float, default=0.05)
     p.add_argument("--bins", type=int, default=9072)
-    p.add_argument("--bin-width", type=int, default=600)
+    p.add_argument("--bin-width", type=_positive_int, default=600)
     p.add_argument("--influence-in-degree", type=int, default=4)
     p.add_argument("--influence-lag", type=int, default=1)
     p.add_argument("--cross-influencers", type=int, default=0)
@@ -459,9 +469,9 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--scheme", required=True,
                    choices=list(BASE_SCHEMES) + ["te", "all"])
-    p.add_argument("--lag", type=int, help="single transfer-entropy lag")
-    p.add_argument("--max-lag", type=int, default=6)
-    p.add_argument("--bin-width", type=int, default=600)
+    p.add_argument("--lag", type=_positive_int, help="single transfer-entropy lag")
+    p.add_argument("--max-lag", type=_positive_int, default=6)
+    p.add_argument("--bin-width", type=_positive_int, default=600)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-retweet-activity", action="store_true",
                    help="retweets do not mark the actor as active")
@@ -503,9 +513,9 @@ def build_parser() -> _Parser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--threshold", type=int, default=9)
-    p.add_argument("--bin-width", type=int, default=600)
-    p.add_argument("--max-lag", type=int, default=6)
-    p.add_argument("--featured-lag", type=int, default=4)
+    p.add_argument("--bin-width", type=_positive_int, default=600)
+    p.add_argument("--max-lag", type=_positive_int, default=6)
+    p.add_argument("--featured-lag", type=_positive_int, default=4)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--hist-bins", type=int, default=50)
     p.add_argument("--threads", type=int, default=1)
@@ -520,6 +530,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "pipeline" and args.featured_lag > args.max_lag:
+            parser.error(f"--featured-lag {args.featured_lag} exceeds "
+                         f"--max-lag {args.max_lag}")
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return int(exc.code or 0)
     if not getattr(args, "func", None):

@@ -1,6 +1,6 @@
 """Normalized mutual information between two coverings.
 
-Each covering becomes a stack of binary membership rows (one per community,
+Each covering is a stack of binary membership rows (one per community,
 singletons included). For every row of one covering we ask how well the best
 admissible row of the other predicts it, measured by normalized conditional
 entropy; candidates that match the complement better than the community
@@ -8,26 +8,65 @@ itself are inadmissible. The score is 1 minus the average normalized
 conditional entropy taken in both directions: 1 exactly for identical
 coverings up to label order, 0 when neither side tells us anything about the
 other.
+
+Rows are never materialized. A covering becomes a node -> row incidence, and
+only the row pairs sharing a node get their overlap counted, at a cost of
+sum over nodes v of |M_x(v)| * |M_y(v)|. A pair of disjoint rows has a
+conditional term that depends on the two row sizes alone, so it is evaluated
+once per X row and distinct Y row size. Singletons thus cost O(1) each.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .communities import Covering
 
 
-class PairEntropies(NamedTuple):
-    """Joint and marginal entropy pieces of two binary membership rows."""
+class _Incidence(NamedTuple):
+    """Node -> row incidence of a covering, rows in membership order."""
 
-    h00: float
-    h01: float
-    h10: float
-    h11: float
-    hx: float
-    hy: float
+    universe: frozenset[str]
+    sizes: np.ndarray   # int64 member count per row
+    indptr: np.ndarray  # rows of node v are rows[indptr[v]:indptr[v + 1]]
+    rows: np.ndarray    # int64 row ids grouped by node, in sorted node order
+    h_size: np.ndarray  # _h(size, n) per row
+    h_row: np.ndarray   # marginal entropy of each row's membership vector
+
+
+def _incidence(covering: Covering) -> _Incidence:
+    """Rows are the communities in order, then the singletons, sorted."""
+    n = len(covering.universe)
+    index = {node: i for i, node in enumerate(sorted(covering.universe))}
+    members = [[index[node] for node in comm] for comm in covering.communities]
+    members += [[index[node]] for node in covering.singletons]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    nodes = np.fromiter((v for m in members for v in m), dtype=np.int64,
+                        count=int(sizes.sum()))
+    row_ids = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
+    order = np.argsort(nodes, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
+    h_size = _h(sizes, n)
+    return _Incidence(covering.universe, sizes, indptr, row_ids[order],
+                      h_size, h_size + _h(n - sizes, n))
+
+
+def _overlaps(x: _Incidence, y: _Incidence,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X row, Y row, shared node count) for every pair of rows that meet."""
+    per_node_x = np.diff(x.indptr)
+    node_of_x = np.repeat(np.arange(len(per_node_x)), per_node_x)
+    reps = np.diff(y.indptr)[node_of_x]
+    pair_x = np.repeat(x.rows, reps)
+    # position of each pair's Y row within y.rows: its node's block start
+    # plus a running offset inside the block
+    block_start = y.indptr[node_of_x] - (np.cumsum(reps) - reps)
+    pair_y = y.rows[np.arange(int(reps.sum())) + np.repeat(block_start, reps)]
+    keys, n11 = np.unique(pair_x * len(y.sizes) + pair_y, return_counts=True)
+    return keys // len(y.sizes), keys % len(y.sizes), n11
 
 
 def _h(count: int | np.ndarray, n: int):
@@ -41,113 +80,72 @@ def _h(count: int | np.ndarray, n: int):
     return float(out[0]) if scalar else out
 
 
-def pair_entropies(row_x: Sequence[int], row_y: Sequence[int]) -> PairEntropies:
-    """Empirical joint-cell and marginal entropies of two membership rows."""
-    x = np.asarray(row_x, dtype=bool)
-    y = np.asarray(row_y, dtype=bool)
-    if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
-        raise ValueError("rows must be equal-length, non-empty 1-D vectors")
-    n = len(x)
-    n11 = int(np.count_nonzero(x & y))
-    n10 = int(np.count_nonzero(x & ~y))
-    n01 = int(np.count_nonzero(~x & y))
-    n00 = n - n11 - n10 - n01
-    return PairEntropies(
-        h00=float(_h(n00, n)),
-        h01=float(_h(n01, n)),
-        h10=float(_h(n10, n)),
-        h11=float(_h(n11, n)),
-        hx=float(_h(n11 + n10, n)) + float(_h(n01 + n00, n)),
-        hy=float(_h(n11 + n01, n)) + float(_h(n10 + n00, n)),
-    )
-
-
-def conditional_term(row_x: Sequence[int], rows_y: Sequence[Sequence[int]],
-                     ) -> float:
-    """Normalized conditional entropy of one row given a whole covering.
-
-    The candidate rows are screened: a row predicting the complement of
-    ``row_x`` better than ``row_x`` itself (joint diagonal entropy not
-    exceeding the off-diagonal) is inadmissible. With no admissible
-    candidate the row is treated as unexplained, giving 1. Rows with zero
-    marginal entropy carry no uncertainty and contribute 0.
-    """
-    best = None
-    hx = None
-    for row_y in rows_y:
-        pe = pair_entropies(row_x, row_y)
-        hx = pe.hx
-        if pe.h11 + pe.h00 > pe.h01 + pe.h10:
-            h_cond = max(0.0, pe.h00 + pe.h01 + pe.h10 + pe.h11 - pe.hy)
-            if best is None or h_cond < best:
-                best = h_cond
-    if hx is None:
-        hx = pair_entropies(row_x, row_x).hx
-    if hx == 0.0:
-        return 0.0
-    term = hx if best is None else best
-    return min(1.0, term / hx)
-
-
-def membership_matrix(covering: Covering,
-                      node_order: Sequence[str] | None = None) -> np.ndarray:
-    """Binary rows, one per community followed by one per singleton."""
-    order = sorted(covering.universe) if node_order is None else list(node_order)
-    index = {node: i for i, node in enumerate(order)}
-    rows = len(covering.communities) + len(covering.singletons)
-    matrix = np.zeros((rows, len(order)), dtype=bool)
-    for r, comm in enumerate(covering.communities):
-        for node in comm:
-            matrix[r, index[node]] = True
-    for r, node in enumerate(covering.singletons, start=len(covering.communities)):
-        matrix[r, index[node]] = True
-    return matrix
-
-
-def _mean_conditional_terms(x_rows: np.ndarray, y_rows: np.ndarray) -> float:
-    """Average normalized conditional entropy of X rows given Y rows."""
-    n = x_rows.shape[1]
-    n11 = x_rows.astype(np.int64) @ y_rows.astype(np.int64).T
-    sx = x_rows.sum(axis=1, dtype=np.int64)
-    sy = y_rows.sum(axis=1, dtype=np.int64)
-    n10 = sx[:, None] - n11
-    n01 = sy[None, :] - n11
-    n00 = n - n11 - n10 - n01
-    h11, h10, h01, h00 = _h(n11, n), _h(n10, n), _h(n01, n), _h(n00, n)
-    hx = _h(sx, n) + _h(n - sx, n)
-    hy = _h(sy, n) + _h(n - sy, n)
-    h_cond = np.maximum((h11 + h10) + (h01 + h00) - hy[None, :], 0.0)
+def _cell_terms(h11, h10, h01, h00, hy) -> np.ndarray:
+    """Conditional entropy of X rows given Y rows, inf where inadmissible."""
+    h_cond = np.maximum((h11 + h10) + (h01 + h00) - hy, 0.0)
     admissible = (h11 + h00) > (h01 + h10)
-    h_cond = np.where(admissible, h_cond, np.inf)
-    best = h_cond.min(axis=1)
+    return np.where(admissible, h_cond, np.inf)
+
+
+def _mean_conditional_terms(x: _Incidence, y: _Incidence, pair_x: np.ndarray,
+                            pair_y: np.ndarray, h11, h10, h01, h00) -> float:
+    """Average normalized conditional entropy of X rows given Y rows.
+
+    ``h11 .. h00`` are the joint-cell entropies of the meeting row pairs
+    ``(pair_x, pair_y)``, with 1 meaning membership in the X row first.
+    """
+    n = len(x.universe)
+    best = np.full(len(x.sizes), np.inf)
+    np.minimum.at(best, pair_x,
+                  _cell_terms(h11, h10, h01, h00, y.h_row[pair_y]))
+    # disjoint pairs: n11 = 0, so the term depends on (sx, sy) alone; a
+    # size is skipped for an X row that meets every Y row of that size
+    size_y, first, size_of_y, count = np.unique(
+        y.sizes, return_index=True, return_inverse=True, return_counts=True)
+    met = np.bincount(pair_x * len(size_y) + size_of_y[pair_y],
+                      minlength=len(x.sizes) * len(size_y))
+    all_met = met.reshape(len(x.sizes), len(size_y)) == count
+    disjoint = _cell_terms(0.0, x.h_size[:, None], y.h_size[first][None, :],
+                           _h(n - x.sizes[:, None] - size_y[None, :], n),
+                           y.h_row[first][None, :])
+    best = np.minimum(best, np.where(all_met, np.inf, disjoint).min(axis=1))
+    hx = x.h_row
     term = np.where(np.isfinite(best), best, hx)
     denom = np.where(hx > 0, hx, 1.0)
     normalized = np.where(hx > 0, np.minimum(term / denom, 1.0), 0.0)
     return float(normalized.mean())
 
 
+def _nmi(x: _Incidence, y: _Incidence) -> float:
+    if x.universe != y.universe:
+        raise ValueError("coverings must share the same universe")
+    if not x.universe:
+        raise ValueError("coverings must be non-empty")
+    n = len(x.universe)
+    pair_x, pair_y, n11 = _overlaps(x, y)
+    n10 = x.sizes[pair_x] - n11
+    n01 = y.sizes[pair_y] - n11
+    n00 = n - n11 - n10 - n01
+    h11, h10, h01, h00 = _h(n11, n), _h(n10, n), _h(n01, n), _h(n00, n)
+    # given X, the Y rows' cells are the same with n10 and n01 swapped
+    return 1.0 - 0.5 * (
+        _mean_conditional_terms(x, y, pair_x, pair_y, h11, h10, h01, h00)
+        + _mean_conditional_terms(y, x, pair_y, pair_x, h11, h01, h10, h00))
+
+
 def nmi(c1: Covering, c2: Covering) -> float:
     """Normalized mutual information between two coverings of one universe."""
-    if c1.universe != c2.universe:
-        raise ValueError("coverings must share the same universe")
-    if not c1.universe:
-        raise ValueError("coverings must be non-empty")
-    order = sorted(c1.universe)
-    x_rows = membership_matrix(c1, order)
-    y_rows = membership_matrix(c2, order)
-    return 1.0 - 0.5 * (_mean_conditional_terms(x_rows, y_rows)
-                        + _mean_conditional_terms(y_rows, x_rows))
+    return _nmi(_incidence(c1), _incidence(c2))
 
 
 def nmi_matrix(coverings: dict[str, Covering]) -> tuple[list[str], np.ndarray]:
     """Symmetric NMI matrix over a labeled family of coverings."""
     labels = sorted(coverings)
+    incidences = [_incidence(coverings[label]) for label in labels]
     size = len(labels)
     matrix = np.zeros((size, size))
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if j < i:
-                continue
-            value = nmi(coverings[a], coverings[b])
+    for i in range(size):
+        for j in range(i, size):
+            value = _nmi(incidences[i], incidences[j])
             matrix[i, j] = matrix[j, i] = value
     return labels, matrix

@@ -94,11 +94,10 @@ def weight_ccdf(values) -> tuple[tuple[float, float], ...]:
     n = len(arr)
     if n == 0:
         return ()
-    points = []
-    for w in np.unique(arr):
-        above = int(np.count_nonzero(arr > w))
-        points.append((float(w), above / n))
-    return tuple(points)
+    distinct = np.unique(arr)
+    above = n - np.searchsorted(arr, distinct, side="right")
+    return tuple((w, count / n)
+                 for w, count in zip(distinct.tolist(), above.tolist()))
 
 
 def conditional_weights(wg: WeightedDigraph,

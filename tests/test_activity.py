@@ -107,6 +107,13 @@ class TestBatchCoarsen:
         empty = StructuralGraph(nodes=frozenset(), edges=frozenset())
         assert batch_coarsen(log_of(post("a", 0)), empty, 600) == {}
 
+    def test_bin_width_below_one_is_rejected_before_the_window(self):
+        # the default window divides by the bin width, so the check must
+        # come first: a ValueError, not a ZeroDivisionError
+        for width in (0, -600):
+            with pytest.raises(ValueError, match="bin_width"):
+                batch_coarsen(log_of(post("a", 700)), self.graph, width)
+
     def test_only_active_user_has_ones(self):
         log = log_of(post("a", 0))
         series = batch_coarsen(log, self.graph, 600, (0, 599))

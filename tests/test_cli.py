@@ -150,6 +150,60 @@ def test_usage_errors_exit_one():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--bin-width", "0"],
+    ["--bin-width", "-5"],
+    ["--max-lag", "0"],
+    ["--featured-lag", "0"],
+    ["--featured-lag", "9", "--max-lag", "2"],
+    ["--max-lag", "x"],
+])
+def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["pipeline", "-i", str(dataset), "-o", str(out)] + flags) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--bin-width", "0"],
+    ["weight", "--scheme", "te", "--bin-width", "0"],
+    ["weight", "--scheme", "te", "--max-lag", "0"],
+    ["weight", "--scheme", "te", "--lag", "0"],
+])
+def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
+    out = tmp_path / "out"
+    inputs = (["--events", str(dataset / "events.jsonl"),
+               "--graph", str(ingested / "graph.csv")]
+              if command[0] == "weight" else [])
+    assert main(command + inputs + ["-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_report_reads_the_graph_once(ingested, tmp_path, monkeypatch):
+    import qocd.cli
+
+    names = sorted(qocd.cli.read_follow_edges(ingested / "graph.csv").nodes)
+    paths = []
+    for i in range(3):
+        path = tmp_path / f"covering_c{i}.txt"
+        path.write_text(" ".join(names[i:i + 4]) + "\n")
+        paths.append(str(path))
+    calls = []
+    real = qocd.cli.read_follow_edges
+    monkeypatch.setattr(qocd.cli, "read_follow_edges",
+                        lambda p: calls.append(p) or real(p))
+    assert main(["report", *paths, "--graph", str(ingested / "graph.csv"),
+                 "-o", str(tmp_path / "with_graph")]) == 0
+    assert len(calls) == 1
+    stats = (tmp_path / "with_graph" / "covering_stats.csv").read_text()
+    assert stats.splitlines()[1] == f"c0,1,{len(names) - 4}"
+    # without --graph each file's universe is the ids it names
+    assert main(["report", *paths, "-o", str(tmp_path / "no_graph")]) == 0
+    stats = (tmp_path / "no_graph" / "covering_stats.csv").read_text()
+    assert stats.splitlines()[1:] == ["c0,1,0", "c1,1,0", "c2,1,0"]
+
+
 def test_data_errors_exit_two(tmp_path):
     assert main(["ingest", "-i", str(tmp_path / "missing"),
                  "-o", str(tmp_path / "out")]) == 2

@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from qocd.communities import Covering
-from qocd.compare import (conditional_term, membership_matrix, nmi,
-                          nmi_matrix, pair_entropies)
+from qocd.compare import nmi, nmi_matrix
 
-from oracles import reference_nmi
+from oracles import (conditional_term, dense_nmi, membership_matrix,
+                     pair_entropies, reference_nmi)
 
 
 def cov(universe, *groups):
@@ -23,6 +25,28 @@ def random_covering(rng, n):
         if members not in groups:
             groups.append(members)
     return Covering(universe=frozenset(ids), communities=tuple(groups))
+
+
+def skewed_covering(rng, n):
+    """Up to two communities of 2..n-1 nodes; every other node a singleton."""
+    ids = [f"n{i:02d}" for i in range(n)]
+    groups = []
+    for _ in range(int(rng.integers(0, 3))):
+        size = int(rng.integers(2, n)) if n > 2 else 2
+        members = frozenset(ids[i] for i in
+                            rng.choice(n, size=size, replace=False))
+        if members not in groups:
+            groups.append(members)
+    return Covering(universe=frozenset(ids), communities=tuple(groups))
+
+
+def singletons(n):
+    return Covering(universe=frozenset(f"v{i:05d}" for i in range(n)),
+                    communities=())
+
+
+# The dense helpers below live in tests/oracles.py; nmi must agree with the
+# dense evaluation built from them exactly.
 
 
 class TestPairEntropies:
@@ -132,6 +156,55 @@ class TestNmi:
             nmi(cov("abc"), cov("abd"))
 
 
+class TestSparseNmiAgainstDenseOracle:
+    def test_random_pairs_are_bit_identical(self):
+        rng = np.random.default_rng(34)
+        for i in range(2400):
+            n = int(rng.integers(2, 60))
+            make = random_covering if i % 2 else skewed_covering
+            a, b = make(rng, n), make(rng, n)
+            assert nmi(a, b) == dense_nmi(a, b)
+
+    @pytest.mark.parametrize("x, y", [
+        (cov("a"), cov("a")),
+        (cov("abcde", "abcde"), cov("abcde")),
+        (cov("abcde", "abcde"), cov("abcde", "abc")),
+        (singletons(50), singletons(50)),
+        (cov("abcdefgh", "abcdefg"), cov("abcdefgh")),
+        (cov("abcdefgh", "abcdefg"), cov("abcdefgh", "ab", "cdefgh")),
+        # every size-2 row of y meets the x row abcd
+        (cov("abcdefgh", "abcd"), cov("abcdefgh", "ab", "cd", "efgh")),
+    ])
+    def test_edge_cases(self, x, y):
+        assert nmi(x, y) == dense_nmi(x, y)
+        assert nmi(y, x) == dense_nmi(y, x)
+
+    def test_skips_a_size_whose_rows_all_meet_the_row(self):
+        # a singleton inside the 89-node community meets the only row of
+        # size 89; the disjoint (1, 89) cell would score better than the
+        # real overlap, so it must not be used for that singleton
+        small = singletons(100)
+        ids = sorted(small.universe)
+        big = Covering(universe=small.universe,
+                       communities=(frozenset(ids[:89]),))
+        assert nmi(small, big) == dense_nmi(small, big)
+        assert nmi(small, big) == pytest.approx(reference_nmi(small, big),
+                                                abs=1e-12)
+
+    @pytest.mark.parametrize("other, expected", [("singletons", 1.0),
+                                                 ("one community", 0.5)])
+    def test_large_singleton_covering_is_fast(self, other, expected):
+        # a singleton given the whole-universe row is unexplained (term 1);
+        # that row has zero entropy (term 0), so the NMI is exactly 0.5
+        x = singletons(8000)
+        y = x if other == "singletons" else Covering(
+            universe=x.universe, communities=(x.universe,))
+        start = time.perf_counter()
+        value = nmi(x, y)
+        assert time.perf_counter() - start < 1.0
+        assert value == expected
+
+
 def test_nmi_matrix_is_symmetric_with_unit_diagonal():
     rng = np.random.default_rng(33)
     coverings = {f"c{i}": random_covering(rng, 20) for i in range(4)}
@@ -139,3 +212,13 @@ def test_nmi_matrix_is_symmetric_with_unit_diagonal():
     assert labels == sorted(coverings)
     assert np.allclose(matrix, matrix.T)
     assert (np.diag(matrix) == 1.0).all()
+
+
+def test_nmi_matrix_entries_equal_pairwise_nmi():
+    rng = np.random.default_rng(35)
+    coverings = {f"c{i}": skewed_covering(rng, 30) for i in range(4)}
+    labels, matrix = nmi_matrix(coverings)
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            first, second = sorted((a, b))
+            assert matrix[i, j] == nmi(coverings[first], coverings[second])

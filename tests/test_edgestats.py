@@ -7,6 +7,8 @@ from qocd.edgestats import (EdgeClass, classify_edge, conditional_weights,
                             weight_ccdf)
 from qocd.weighting import WeightedDigraph
 
+from oracles import loop_weight_ccdf
+
 
 def cov(universe, *groups):
     return Covering(universe=frozenset(universe),
@@ -204,6 +206,18 @@ class TestWeightCcdf:
 
     def test_empty(self):
         assert weight_ccdf([]) == ()
+        assert loop_weight_ccdf([]) == ()
+
+    def test_matches_loop_reference_with_ties(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            size = int(rng.integers(1, 60))
+            # few distinct values, so most weights are tied
+            values = rng.integers(0, 8, size) / 4.0
+            if rng.random() < 0.5:
+                values = np.concatenate([values, rng.random(size)])
+            assert weight_ccdf(values.tolist()) == \
+                loop_weight_ccdf(values.tolist())
 
 
 class TestSizeCcdf:
