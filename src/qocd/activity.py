@@ -60,21 +60,9 @@ def coarsen(log: EventLog, user: str, bin_width: int = 600,
     Events outside the window are dropped. A user absent from the log simply
     gets an all-zero series.
     """
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
-    origin, end = window if window is not None else default_window(log, bin_width)
-    if origin > end:
-        raise ValueError("window origin must not exceed its end")
-    length = series_length(origin, end, bin_width)
-    bins = np.zeros(length, dtype=np.uint8)
-    kinds = _activity_kinds(retweets_count_as_activity)
-    for ev in log.events:
-        if ev.actor != user or ev.kind not in kinds:
-            continue
-        if ev.ts < origin or ev.ts > end:
-            continue
-        bins[(ev.ts - origin) // bin_width] = 1
-    return ActivitySeries(user=user, bins=bins, bin_width=bin_width, origin=origin)
+    graph = StructuralGraph(nodes=frozenset([user]), edges=frozenset())
+    return batch_coarsen(log, graph, bin_width, window,
+                         retweets_count_as_activity)[user]
 
 
 def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,

@@ -18,7 +18,6 @@ import platform
 import sys
 from pathlib import Path
 
-import networkx
 import numpy
 
 from . import __version__
@@ -38,7 +37,8 @@ from .weighting import (WeightedDigraph, hashtag_similarity_weights,
                         mention_share_weights, orphans, retweet_share_weights,
                         structural_weights, transfer_entropy_weights)
 
-BASE_SCHEMES = ("structural", "mention", "retweet", "mention_retweet", "hashtag")
+SCHEMES = ("structural", "mention", "retweet", "mention_retweet", "hashtag",
+           "te")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,56 +156,60 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _compute_weights(scheme: str, log, graph, series, args,
-                     ) -> list[tuple[WeightedDigraph, dict]]:
-    meta = {"bin_width": args.bin_width,
-            "retweets_count_as_activity": not args.no_retweet_activity}
-    if scheme == "structural":
-        return [(structural_weights(graph), {})]
-    if scheme == "mention":
-        return [(mention_share_weights(graph, log), {})]
-    if scheme == "retweet":
-        return [(retweet_share_weights(graph, log), {})]
-    if scheme == "mention_retweet":
-        return [(mention_retweet_weights(graph, log), {})]
-    if scheme == "hashtag":
+def _run_weights(log, graph, args, schemes, lags, out: Path,
+                 series_csv: Path | None = None) -> dict[str, WeightedDigraph]:
+    """Build the tables of ``schemes`` (TE once per lag in ``lags``) and write
+    each as ``out/weights_<name>.csv``, in name order, with a JSON sidecar.
+
+    Every sidecar records the bin width and whether retweets count as
+    activity; TE sidecars add the lag and the hashtag one the tf-idf log
+    base. ``series_csv``, if given, receives the activity series.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    activity = not args.no_retweet_activity
+    meta = {"bin_width": args.bin_width, "retweets_count_as_activity": activity}
+    built: list[tuple[WeightedDigraph, dict]] = []
+    if "structural" in schemes:
+        built.append((structural_weights(graph), meta))
+    if "te" in schemes or series_csv is not None:
+        series = batch_coarsen(log, graph, bin_width=args.bin_width,
+                               retweets_count_as_activity=activity)
+    if series_csv is not None:
+        write_series_csv(series, series_csv)
+    if "te" in schemes:
+        for k in lags:
+            wg = transfer_entropy_weights(graph, series, k, threads=args.threads)
+            built.append((wg, dict(meta, lag=k)))
+    for scheme, build in (("mention", mention_share_weights),
+                          ("retweet", retweet_share_weights),
+                          ("mention_retweet", mention_retweet_weights)):
+        if scheme in schemes:
+            built.append((build(graph, log), meta))
+    if "hashtag" in schemes:
         base = 2.0 if args.tfidf_log_base == "2" else math.e
         vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
-        return [(hashtag_similarity_weights(graph, vectors),
-                 {"tfidf_log_base": args.tfidf_log_base})]
-    if scheme == "te":
-        lags = [args.lag] if args.lag else list(range(1, args.max_lag + 1))
-        out = []
-        for k in lags:
-            wg = transfer_entropy_weights(graph, series, k,
-                                          truncate=not args.raw,
-                                          threads=args.threads)
-            out.append((wg, dict(meta, lag=k, truncated=not args.raw)))
-        return out
-    raise ValueError(f"unknown scheme {scheme!r}")
+        built.append((hashtag_similarity_weights(graph, vectors),
+                      dict(meta, tfidf_log_base=args.tfidf_log_base)))
+    tables = {}
+    for wg, sidecar in sorted(built, key=lambda pair: pair[0].scheme):
+        write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
+        tables[wg.scheme] = wg
+    return tables
 
 
 def cmd_weight(args) -> int:
     log = read_events(Path(args.events))
     graph = read_follow_edges(Path(args.graph))
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    series = None
-    if args.scheme in ("te", "all") or args.dump_series:
-        series = batch_coarsen(log, graph, bin_width=args.bin_width,
-                               retweets_count_as_activity=not args.no_retweet_activity)
-    if args.dump_series:
-        write_series_csv(series, out / "activity_series.csv")
-    schemes = ([args.scheme] if args.scheme != "all"
-               else list(BASE_SCHEMES) + ["te"])
-    for scheme in schemes:
-        for wg, meta in _compute_weights(scheme, log, graph, series, args):
-            name = wg.scheme if not (args.raw and scheme == "te") \
-                else wg.scheme + "_raw"
-            write_weight_table(wg, out / f"weights_{name}.csv", meta)
-            print(f"weight: wrote weights_{name}.csv "
-                  f"({sum(1 for w in wg.weights.values() if w > 0)} positive "
-                  f"of {len(wg.weights)} edges)")
+    schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
+    lags = [args.lag] if args.lag else range(1, args.max_lag + 1)
+    tables = _run_weights(log, graph, args, schemes, lags, out,
+                          out / "activity_series.csv" if args.dump_series
+                          else None)
+    for name, wg in tables.items():
+        print(f"weight: wrote weights_{name}.csv "
+              f"({sum(1 for w in wg.weights.values() if w > 0)} positive "
+              f"of {len(wg.weights)} edges)")
     return 0
 
 
@@ -221,15 +225,36 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    graph = read_follow_edges(Path(args.graph))
+def _read_coverings(paths, universe: frozenset[str] | None,
+                    ) -> dict[str, Covering]:
+    """Covering files keyed by label, the file stem without ``covering_``.
+
+    Without a universe, each file's universe is the ids it names.
+    """
     coverings = {}
-    for path in args.coverings:
-        path = Path(path)
+    for path in map(Path, paths):
         label = path.stem.removeprefix("covering_")
         if label in coverings:
             raise ValueError(f"duplicate covering label {label!r}")
-        coverings[label] = read_covering(path, graph.nodes)
+        coverings[label] = read_covering(
+            path, _named_nodes(path) if universe is None else universe)
+    return coverings
+
+
+def _named_nodes(path: Path) -> frozenset[str]:
+    """Universe of a covering file read without a graph: the ids it names."""
+    members = set()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                members.update(line.split())
+    return frozenset(members)
+
+
+def cmd_compare(args) -> int:
+    graph = read_follow_edges(Path(args.graph))
+    coverings = _read_coverings(args.coverings, graph.nodes)
     labels, matrix = nmi_matrix(coverings)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -243,6 +268,16 @@ def _write_nmi_csv(labels, matrix, path: Path) -> None:
         fh.write("covering," + ",".join(labels) + "\n")
         for i, label in enumerate(labels):
             fh.write(label + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
+
+
+def _run_edges(wg: WeightedDigraph, covering: Covering, label: str,
+               bins: int, out: Path) -> int:
+    """Partition the edges of ``wg`` by ``covering`` and write the report of
+    their conditional weights to ``out``; returns the number of edges."""
+    classes = partition_edges(wg, covering)
+    report = conditional_weights(wg, classes, bins=bins)
+    _write_edge_report(report, out, {"covering": label, "weights": wg.scheme})
+    return len(classes)
 
 
 def _write_edge_report(report: ConditionalWeightReport, out: Path,
@@ -267,94 +302,56 @@ def _write_edge_report(report: ConditionalWeightReport, out: Path,
 def cmd_edges(args) -> int:
     wg = read_weight_table(Path(args.weights))
     covering = read_covering(Path(args.covering), wg.nodes)
-    classes = partition_edges(wg, covering)
-    report = conditional_weights(wg, classes, bins=args.hist_bins)
-    _write_edge_report(report, Path(args.output),
-                       {"covering": Path(args.covering).stem,
-                        "weights": wg.scheme})
-    print(f"edges: {len(classes)} edges partitioned -> {args.output}")
+    count = _run_edges(wg, covering, Path(args.covering).stem, args.hist_bins,
+                       Path(args.output))
+    print(f"edges: {count} edges partitioned -> {args.output}")
     return 0
+
+
+def _write_report(coverings: dict[str, Covering], tables, out: Path) -> None:
+    """``covering_stats.csv`` and ``size_ccdf_<label>.csv`` per covering, in
+    label order, plus ``orphans.csv`` over ``tables`` in the order given."""
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "covering_stats.csv", "w", encoding="utf-8") as fh:
+        fh.write("covering,communities,singletons\n")
+        for label in sorted(coverings):
+            stats = covering_stats(coverings[label])
+            fh.write(f"{label},{stats['communities']},{stats['singletons']}\n")
+    for label in sorted(coverings):
+        with open(out / f"size_ccdf_{label}.csv", "w", encoding="utf-8") as fh:
+            fh.write("size,proportion\n")
+            for s, p in size_ccdf(coverings[label]):
+                fh.write(f"{s},{_fmt(p)}\n")
+    if tables:
+        with open(out / "orphans.csv", "w", encoding="utf-8") as fh:
+            fh.write("scheme,orphans\n")
+            for wg in tables:
+                fh.write(f"{wg.scheme},{len(orphans(wg))}\n")
 
 
 def cmd_report(args) -> int:
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    graph = read_follow_edges(Path(args.graph)) if args.graph else None
-    rows = []
-    for path in sorted(args.coverings):
-        path = Path(path)
-        label = path.stem.removeprefix("covering_")
-        universe = _named_nodes(path) if graph is None else graph.nodes
-        covering = read_covering(path, universe)
-        stats = covering_stats(covering)
-        rows.append((label, stats["communities"], stats["singletons"]))
-        with open(out / f"size_ccdf_{label}.csv", "w", encoding="utf-8") as fh:
-            fh.write("size,proportion\n")
-            for s, p in size_ccdf(covering):
-                fh.write(f"{s},{_fmt(p)}\n")
-    with open(out / "covering_stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("covering,communities,singletons\n")
-        for label, n_comm, n_single in sorted(rows):
-            fh.write(f"{label},{n_comm},{n_single}\n")
-    if args.weights:
-        with open(out / "orphans.csv", "w", encoding="utf-8") as fh:
-            fh.write("scheme,orphans\n")
-            for wpath in sorted(args.weights):
-                wg = read_weight_table(Path(wpath))
-                fh.write(f"{wg.scheme},{len(orphans(wg))}\n")
-    print(f"report: {len(rows)} coverings summarized -> {out}")
+    universe = read_follow_edges(Path(args.graph)).nodes if args.graph else None
+    coverings = _read_coverings(sorted(args.coverings), universe)
+    tables = [read_weight_table(Path(p)) for p in sorted(args.weights)]
+    _write_report(coverings, tables, Path(args.output))
+    print(f"report: {len(coverings)} coverings summarized -> {args.output}")
     return 0
-
-
-def _named_nodes(path: Path) -> frozenset[str]:
-    """Universe of a covering file read without a graph: the ids it names."""
-    members = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                members.update(line.split())
-    return frozenset(members)
 
 
 def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
     events_path, follows_path = indir / "events.jsonl", indir / "follows.csv"
-    log, graph, report = _run_ingest(events_path, follows_path, out / "ingest",
-                                     args.threshold)
-
-    series = batch_coarsen(log, graph, bin_width=args.bin_width,
-                           retweets_count_as_activity=not args.no_retweet_activity)
-
-    weights_dir = out / "weights"
-    weights_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"bin_width": args.bin_width,
-            "retweets_count_as_activity": not args.no_retweet_activity}
-    tables: dict[str, WeightedDigraph] = {}
-    tables["structural"] = structural_weights(graph)
-    for k in range(1, args.max_lag + 1):
-        wg = transfer_entropy_weights(graph, series, k, threads=args.threads)
-        tables[wg.scheme] = wg
-    tables["mention"] = mention_share_weights(graph, log)
-    tables["retweet"] = retweet_share_weights(graph, log)
-    tables["mention_retweet"] = mention_retweet_weights(graph, log)
-    base = 2.0 if args.tfidf_log_base == "2" else math.e
-    vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
-    tables["hashtag"] = hashtag_similarity_weights(graph, vectors)
-    for name in sorted(tables):
-        extra = {"lag": int(name.removeprefix("te_lag"))} \
-            if name.startswith("te_lag") else {}
-        if name == "hashtag":
-            extra = {"tfidf_log_base": args.tfidf_log_base}
-        write_weight_table(tables[name], weights_dir / f"weights_{name}.csv",
-                           dict(meta, **extra))
+    log, graph, _ = _run_ingest(events_path, follows_path, out / "ingest",
+                                args.threshold)
+    tables = _run_weights(log, graph, args, SCHEMES,
+                          range(1, args.max_lag + 1), out / "weights")
 
     coverings_dir = out / "coverings"
     coverings_dir.mkdir(parents=True, exist_ok=True)
     coverings: dict[str, Covering] = {}
     params = FitnessParams(alpha=args.alpha)
-    for name in sorted(tables):
-        coverings[name] = detect_communities(tables[name], params)
+    for name, wg in tables.items():
+        coverings[name] = detect_communities(wg, params)
         write_covering(coverings[name], coverings_dir / f"covering_{name}.txt")
 
     compare_dir = out / "compare"
@@ -363,36 +360,16 @@ def cmd_pipeline(args) -> int:
     _write_nmi_csv(labels, matrix, compare_dir / "nmi_matrix.csv")
 
     featured = f"te_lag{args.featured_lag}"
-    edge_coverings = [c for c in ("structural", featured, "hashtag",
-                                  "mention_retweet") if c in coverings]
-    edge_weights = [w for w in (featured, "hashtag", "mention_retweet")
-                    if w in tables]
-    for cov_name in edge_coverings:
-        for wt_name in edge_weights:
-            classes = partition_edges(tables[wt_name], coverings[cov_name])
-            edge_report = conditional_weights(tables[wt_name], classes,
-                                              bins=args.hist_bins)
-            _write_edge_report(edge_report,
-                               out / "edges" / f"{cov_name}__{wt_name}",
-                               {"covering": cov_name, "weights": wt_name})
+    for cov_name in ("structural", featured, "hashtag", "mention_retweet"):
+        for wt_name in (featured, "hashtag", "mention_retweet"):
+            _run_edges(tables[wt_name], coverings[cov_name], cov_name,
+                       args.hist_bins, out / "edges" / f"{cov_name}__{wt_name}")
 
-    report_dir = out / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / "covering_stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("covering,communities,singletons\n")
-        for name in sorted(coverings):
-            stats = covering_stats(coverings[name])
-            fh.write(f"{name},{stats['communities']},{stats['singletons']}\n")
-    for name in sorted(coverings):
-        with open(report_dir / f"size_ccdf_{name}.csv", "w",
-                  encoding="utf-8") as fh:
-            fh.write("size,proportion\n")
-            for s, p in size_ccdf(coverings[name]):
-                fh.write(f"{s},{_fmt(p)}\n")
-    with open(report_dir / "orphans.csv", "w", encoding="utf-8") as fh:
-        fh.write("scheme,orphans\n")
-        for name in sorted(tables):
-            fh.write(f"{name},{len(orphans(tables[name]))}\n")
+    _write_report(coverings, tables.values(), out / "report")
+
+    # imported here, not at module scope: only this version field and
+    # ingest.giant_scc use networkx, so the other commands skip its import
+    import networkx
 
     manifest = {
         "tool": "qocd",
@@ -468,7 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--scheme", required=True,
-                   choices=list(BASE_SCHEMES) + ["te", "all"])
+                   choices=list(SCHEMES) + ["all"])
     p.add_argument("--lag", type=_positive_int, help="single transfer-entropy lag")
     p.add_argument("--max-lag", type=_positive_int, default=6)
     p.add_argument("--bin-width", type=_positive_int, default=600)
@@ -476,8 +453,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-retweet-activity", action="store_true",
                    help="retweets do not mark the actor as active")
     p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
-    p.add_argument("--raw", action="store_true",
-                   help="emit raw (possibly negative) transfer entropies")
     p.add_argument("--dump-series", action="store_true",
                    help="also write the binary activity series for debugging")
     p.set_defaults(func=cmd_weight)
@@ -499,7 +474,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--covering", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--hist-bins", type=int, default=50)
+    p.add_argument("--hist-bins", type=_positive_int, default=50)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("report", help="covering stats, size CCDFs, orphans")
@@ -517,7 +492,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-lag", type=_positive_int, default=6)
     p.add_argument("--featured-lag", type=_positive_int, default=4)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--hist-bins", type=int, default=50)
+    p.add_argument("--hist-bins", type=_positive_int, default=50)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
     p.add_argument("--no-retweet-activity", action="store_true")

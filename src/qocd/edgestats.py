@@ -141,12 +141,5 @@ def conditional_weights(wg: WeightedDigraph,
 
 def size_ccdf(covering: Covering) -> list[tuple[int, float]]:
     """(s, fraction of non-singleton communities larger than s) per size."""
-    sizes = np.asarray(sorted(len(c) for c in covering.communities))
-    total = len(sizes)
-    if total == 0:
-        return []
-    out = []
-    for s in np.unique(sizes):
-        above = int(np.count_nonzero(sizes > s))
-        out.append((int(s), above / total))
-    return out
+    sizes = [len(c) for c in covering.communities]
+    return [(int(s), p) for s, p in weight_ccdf(sizes)]

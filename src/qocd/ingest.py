@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-import networkx as nx
-
 EVENT_KINDS = ("post", "mention", "retweet")
 
 
@@ -273,6 +271,8 @@ def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
     Size ties are broken toward the component containing the smallest node
     id (lexicographic byte order).
     """
+    import networkx as nx  # lazily: slow to import, and only needed here
+
     if not graph.nodes:
         raise ValueError("empty graph")
     g = nx.DiGraph()

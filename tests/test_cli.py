@@ -1,10 +1,13 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qocd.cli import main, read_weight_table
+from qocd.ingest import read_follow_edges
 
 SYNTH_ARGS = ["--nodes", "24", "--communities", "3", "--bins", "150",
               "--p-in", "0.5", "--p-out", "0.05", "--rho", "0.1",
@@ -64,7 +67,8 @@ def test_weight_te_single_lag(dataset, ingested, tmp_path):
     wg = read_weight_table(out / "weights_te_lag4.csv")
     assert wg.scheme == "te_lag4"
     meta = json.loads((out / "weights_te_lag4.json").read_text())
-    assert meta["lag"] == 4 and meta["truncated"] is True
+    assert meta == {"bin_width": 600, "lag": 4,
+                    "retweets_count_as_activity": True, "scheme": "te_lag4"}
 
 
 def test_weight_all_schemes(dataset, ingested, tmp_path):
@@ -77,6 +81,24 @@ def test_weight_all_schemes(dataset, ingested, tmp_path):
                      "weights_retweet.csv", "weights_mention_retweet.csv",
                      "weights_hashtag.csv", "weights_te_lag1.csv",
                      "weights_te_lag2.csv"}
+
+
+def test_weight_tables_equal_pipeline_weights(dataset, ingested, tmp_path):
+    wdir, pdir = tmp_path / "w", tmp_path / "p"
+    assert main(["weight", "--events", str(dataset / "events.jsonl"),
+                 "--graph", str(ingested / "graph.csv"),
+                 "--scheme", "all", "--max-lag", "2", "-o", str(wdir)]) == 0
+    assert main(["pipeline", "-i", str(dataset), "-o", str(pdir),
+                 "--threshold", "2", "--max-lag", "2",
+                 "--featured-lag", "2"]) == 0
+    assert (ingested / "graph.csv").read_bytes() == \
+        (pdir / "ingest" / "graph.csv").read_bytes()
+    names = sorted(p.name for p in (pdir / "weights").iterdir())
+    assert sorted(p.name for p in wdir.iterdir()) == names
+    assert len(names) == 14
+    for name in names:
+        assert (wdir / name).read_bytes() == \
+            (pdir / "weights" / name).read_bytes(), name
 
 
 def test_detect_compare_edges_report(dataset, ingested, tmp_path):
@@ -157,6 +179,8 @@ def test_usage_errors_exit_one():
     ["--featured-lag", "0"],
     ["--featured-lag", "9", "--max-lag", "2"],
     ["--max-lag", "x"],
+    ["--hist-bins", "0"],
+    ["--hist-bins", "-3"],
 ])
 def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -170,12 +194,17 @@ def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     ["weight", "--scheme", "te", "--bin-width", "0"],
     ["weight", "--scheme", "te", "--max-lag", "0"],
     ["weight", "--scheme", "te", "--lag", "0"],
+    ["edges", "--hist-bins", "0"],
 ])
 def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
     out = tmp_path / "out"
-    inputs = (["--events", str(dataset / "events.jsonl"),
-               "--graph", str(ingested / "graph.csv")]
-              if command[0] == "weight" else [])
+    inputs = {
+        "weight": ["--events", str(dataset / "events.jsonl"),
+                   "--graph", str(ingested / "graph.csv")],
+        # missing files would exit 2 if the flag got past the parser
+        "edges": ["--weights", str(tmp_path / "weights_x.csv"),
+                  "--covering", str(tmp_path / "covering_x.txt")],
+    }.get(command[0], [])
     assert main(command + inputs + ["-o", str(out)]) == 1
     assert not out.exists()
 
@@ -204,6 +233,21 @@ def test_report_reads_the_graph_once(ingested, tmp_path, monkeypatch):
     assert stats.splitlines()[1:] == ["c0,1,0", "c1,1,0", "c2,1,0"]
 
 
+def test_report_rejects_duplicate_covering_labels(ingested, tmp_path, capsys):
+    node = min(read_follow_edges(ingested / "graph.csv").nodes)
+    paths = []
+    for parent in ("a", "b"):
+        (tmp_path / parent).mkdir()
+        path = tmp_path / parent / "covering_x.txt"
+        path.write_text(node + "\n")
+        paths.append(str(path))
+    out = tmp_path / "report"
+    assert main(["report", *paths, "--graph", str(ingested / "graph.csv"),
+                 "-o", str(out)]) == 2
+    assert "duplicate covering label 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_two(tmp_path):
     assert main(["ingest", "-i", str(tmp_path / "missing"),
                  "-o", str(tmp_path / "out")]) == 2
@@ -218,3 +262,28 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pipeline" in proc.stdout
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qocd.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_tracer_layer_names_exist_in_cli():
+    """The benchmark tracer wraps these qocd.cli names; a missing one would
+    silently turn its per-layer metrics into missing ones."""
+    import qocd.cli
+
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    names = [name for group in layers.values() for name in group]
+    assert len(names) > 20
+    assert [n for n in names if not hasattr(qocd.cli, n)] == []
