@@ -36,12 +36,12 @@ print(f"silent source:       TE = {transfer_entropy(independent, silent, 1):.1f}
 cfg = SynthConfig(nodes=60, communities=4, bins=4000, p_in=0.4, p_out=0.02,
                   rho=0.05, epsilon=0.4, seed=3)
 log, graph, truth = generate(cfg)
-series = batch_coarsen(log, graph, bin_width=cfg.bin_width)
+activity = batch_coarsen(log, graph, bin_width=cfg.bin_width)
 
 print("\nlag sweep on a planted network (mean TE in bits):")
 print("lag  influence edges  other edges")
 for lag in range(1, 7):
-    wg = transfer_entropy_weights(graph, series, lag)
+    wg = transfer_entropy_weights(graph, activity, lag)
     on = [wg.weights[e] for e in truth.influence_edges]
     off = [w for e, w in wg.weights.items() if e not in truth.influence_edges]
     print(f"{lag:>3}  {np.mean(on):>15.5f}  {np.mean(off):>11.5f}")

@@ -14,11 +14,11 @@ from qocd import (FitnessParams, SynthConfig, batch_coarsen, covering_stats,
 cfg = SynthConfig(nodes=80, communities=4, bins=4000, p_in=0.35, p_out=0.03,
                   rho=0.05, epsilon=0.4, overlap_fraction=0.1, seed=21)
 log, graph, truth = generate(cfg)
-series = batch_coarsen(log, graph, bin_width=cfg.bin_width)
+activity = batch_coarsen(log, graph, bin_width=cfg.bin_width)
 
 weightings = {
     "structural": structural_weights(graph),
-    "activity (TE lag 1)": transfer_entropy_weights(graph, series, 1),
+    "activity (TE lag 1)": transfer_entropy_weights(graph, activity, 1),
     "interaction (MR)": mention_retweet_weights(graph, log),
     "topic (hashtags)": hashtag_similarity_weights(
         graph, hashtag_tfidf_vectors(log, graph.nodes)),

@@ -17,7 +17,7 @@ cfg = SynthConfig(nodes=80, communities=4, bins=2000, p_in=0.35, p_out=0.05,
                   influence_in_degree=2, mention_events=8, retweet_events=8,
                   interaction_intra_bias=0.75, hashtag_rate=0.4, seed=33)
 log, graph, truth = generate(cfg)
-series = batch_coarsen(log, graph, bin_width=cfg.bin_width)
+activity = batch_coarsen(log, graph, bin_width=cfg.bin_width)
 
 tables = {
     "structural": structural_weights(graph),
@@ -26,7 +26,7 @@ tables = {
         graph, hashtag_tfidf_vectors(log, graph.nodes)),
 }
 for lag in range(1, 7):
-    wg = transfer_entropy_weights(graph, series, lag)
+    wg = transfer_entropy_weights(graph, activity, lag)
     tables[wg.scheme] = wg
 
 coverings = {name: detect_communities(wg) for name, wg in tables.items()}

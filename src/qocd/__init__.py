@@ -7,15 +7,14 @@ the resulting coverings and their edge-weight structure.
 
 __version__ = "0.1.0"
 
-from .activity import ActivitySeries, batch_coarsen, coarsen
+from .activity import ActivityMatrix, batch_coarsen
 from .communities import (Covering, FitnessParams, covering_stats,
                           detect_communities, read_covering, write_covering)
 from .compare import nmi, nmi_matrix
 from .edgestats import (EdgeClass, classify_edge, conditional_weights,
                         median_low, partition_edges, size_ccdf)
-from .infotheory import (EntropyEstimate, WindowSample, lag_sweep,
-                         pairwise_transfer_entropy, plugin_entropy,
-                         transfer_entropy, window_samples)
+from .infotheory import (EntropyEstimate, lag_sweep, pairwise_transfer_entropy,
+                         plugin_entropy, transfer_entropy)
 from .ingest import (Event, EventLog, FilterReport, InfoEventCounts,
                      StructuralGraph, count_information_events, filter_active,
                      giant_scc, parse_events, read_events, read_follow_edges,
@@ -28,11 +27,10 @@ from .weighting import (HashtagVector, WeightedDigraph, cosine,
                         transfer_entropy_weights)
 
 __all__ = [
-    "ActivitySeries", "Covering", "EdgeClass", "EntropyEstimate", "Event",
+    "ActivityMatrix", "Covering", "EdgeClass", "EntropyEstimate", "Event",
     "EventLog", "FilterReport", "FitnessParams", "HashtagVector",
     "InfoEventCounts", "PlantedTruth", "StructuralGraph", "SynthConfig",
-    "WeightedDigraph", "WindowSample", "batch_coarsen", "classify_edge",
-    "coarsen", "conditional_weights",
+    "WeightedDigraph", "batch_coarsen", "classify_edge", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",
     "detect_communities", "filter_active", "generate", "giant_scc",
     "hashtag_similarity_weights", "hashtag_tfidf_vectors", "lag_sweep",
@@ -42,5 +40,5 @@ __all__ = [
     "partition_edges", "plugin_entropy", "read_covering", "read_events",
     "read_follow_edges", "retweet_share_weights", "size_ccdf",
     "structural_weights", "transfer_entropy", "transfer_entropy_weights",
-    "window_samples", "write_covering", "write_follow_edges",
+    "write_covering", "write_follow_edges",
 ]

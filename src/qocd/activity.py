@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,21 +19,42 @@ import numpy as np
 from .ingest import EventLog, StructuralGraph
 
 
-@dataclass(eq=False)
-class ActivitySeries:
-    """Binary activity indicators for one user.
+@dataclass(frozen=True, eq=False)
+class ActivityMatrix:
+    """Binary activity indicators of several users over shared bins.
 
-    ``bins[i]`` covers timestamps ``origin + i*bin_width`` (inclusive) to
-    ``origin + (i+1)*bin_width`` (exclusive).
+    ``bits[i, j]`` is 1 iff ``nodes[i]`` was active in bin j, which covers
+    timestamps ``origin + j*bin_width`` (inclusive) to
+    ``origin + (j+1)*bin_width`` (exclusive). Nodes are sorted and unique,
+    one row each; the matrix is a read-only uint8 copy.
     """
 
-    user: str
-    bins: np.ndarray
+    nodes: tuple[str, ...]
+    bits: np.ndarray
     bin_width: int
     origin: int
 
-    def __len__(self) -> int:
-        return len(self.bins)
+    def __post_init__(self):
+        nodes = tuple(self.nodes)
+        if list(nodes) != sorted(set(nodes)):
+            raise ValueError("activity nodes must be sorted and unique")
+        bits = np.asarray(self.bits)
+        if bits.ndim != 2:
+            raise ValueError("activity bits must be a 2-D node x bin matrix")
+        if bits.shape[0] != len(nodes):
+            raise ValueError(f"activity has {bits.shape[0]} rows for "
+                             f"{len(nodes)} nodes")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("activity values must be 0 or 1")
+        bits = bits.astype(np.uint8)  # a copy, so the caller's array stays free
+        bits.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "bits", bits)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Row number of each node."""
+        return {node: i for i, node in enumerate(self.nodes)}
 
 
 def default_window(log: EventLog, bin_width: int) -> tuple[int, int]:
@@ -48,67 +70,50 @@ def series_length(origin: int, end: int, bin_width: int) -> int:
     return -((end - origin + 1) // -bin_width)  # ceil division
 
 
-def _activity_kinds(retweets_count: bool) -> tuple[str, ...]:
-    return ("post", "retweet") if retweets_count else ("post",)
-
-
-def coarsen(log: EventLog, user: str, bin_width: int = 600,
-            window: tuple[int, int] | None = None,
-            retweets_count_as_activity: bool = True) -> ActivitySeries:
-    """Build the activity series of one user.
-
-    Events outside the window are dropped. A user absent from the log simply
-    gets an all-zero series.
-    """
-    graph = StructuralGraph(nodes=frozenset([user]), edges=frozenset())
-    return batch_coarsen(log, graph, bin_width, window,
-                         retweets_count_as_activity)[user]
-
-
 def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
                   window: tuple[int, int] | None = None,
-                  retweets_count_as_activity: bool = True,
-                  ) -> dict[str, ActivitySeries]:
-    """Activity series for every graph node, sharing origin and length."""
+                  retweets_count_as_activity: bool = True) -> ActivityMatrix:
+    """Activity of every graph node over one window.
+
+    Events outside the window are dropped, and a node absent from the log
+    gets an all-zero row. An empty graph gives an empty matrix without
+    inferring a window.
+    """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    if not graph.nodes:
-        return {}
+    nodes = tuple(sorted(graph.nodes))
+    if not nodes:
+        return ActivityMatrix(nodes, np.zeros((0, 0), dtype=np.uint8),
+                              bin_width, window[0] if window else 0)
     origin, end = window if window is not None else default_window(log, bin_width)
     if origin > end:
         raise ValueError("window origin must not exceed its end")
-    length = series_length(origin, end, bin_width)
-    kinds = _activity_kinds(retweets_count_as_activity)
-    series = {
-        user: ActivitySeries(user=user, bins=np.zeros(length, dtype=np.uint8),
-                             bin_width=bin_width, origin=origin)
-        for user in graph.nodes
-    }
+    kinds = ("post", "retweet") if retweets_count_as_activity else ("post",)
+    bits = np.zeros((len(nodes), series_length(origin, end, bin_width)),
+                    dtype=np.uint8)
+    rows = dict(zip(nodes, bits))  # views into bits
     for ev in log.events:
-        if ev.kind not in kinds or ev.actor not in series:
+        if ev.kind not in kinds or ev.actor not in rows:
             continue
         if ev.ts < origin or ev.ts > end:
             continue
-        series[ev.actor].bins[(ev.ts - origin) // bin_width] = 1
-    return series
+        rows[ev.actor][(ev.ts - origin) // bin_width] = 1
+    return ActivityMatrix(nodes, bits, bin_width, origin)
 
 
-def write_series_csv(series: dict[str, ActivitySeries], path) -> dict:
-    """Debug dump: one ``user,bin0,bin1,...`` row per user, sorted by user.
+def write_series_csv(activity: ActivityMatrix, path) -> dict:
+    """Debug dump: one ``user,bin0,bin1,...`` row per node, in node order.
 
     Bin width, origin, and length go to a JSON sidecar next to the CSV;
     the header is also returned.
     """
-    users = sorted(series)
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for user in users:
-            s = series[user]
-            fh.write(user + "," + ",".join(str(int(b)) for b in s.bins) + "\n")
-    if users:
-        first = series[users[0]]
-        header = {"bin_width": first.bin_width, "origin": first.origin,
-                  "length": len(first)}
+        for node, bits in zip(activity.nodes, activity.bits):
+            fh.write(node + "," + ",".join(map(str, bits.tolist())) + "\n")
+    if activity.nodes:
+        header = {"bin_width": activity.bin_width, "origin": activity.origin,
+                  "length": activity.bits.shape[1]}
     else:
         header = {"bin_width": None, "origin": None, "length": 0}
     path.with_suffix(".json").write_text(

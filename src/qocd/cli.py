@@ -4,7 +4,7 @@ report, and the end-to-end pipeline command.
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 inconsistent inputs), 3 internal error. All outputs are written in sorted
 order with fixed formatting, so repeated runs on the same inputs and seed
-are byte-identical at any thread count.
+are byte-identical. ``--threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -50,15 +50,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(convert, low, strict: bool = False):
+    """An argparse type: ``convert(text)``, at least ``low`` (or above it,
+    if ``strict``), so a bad flag exits 1 before any stage runs."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, strict=True)
 
 
 def _fmt(value: float) -> str:
@@ -166,20 +176,20 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
     base. ``series_csv``, if given, receives the activity series.
     """
     out.mkdir(parents=True, exist_ok=True)
-    activity = not args.no_retweet_activity
-    meta = {"bin_width": args.bin_width, "retweets_count_as_activity": activity}
+    retweets = not args.no_retweet_activity
+    meta = {"bin_width": args.bin_width, "retweets_count_as_activity": retweets}
     built: list[tuple[WeightedDigraph, dict]] = []
     if "structural" in schemes:
         built.append((structural_weights(graph), meta))
     if "te" in schemes or series_csv is not None:
-        series = batch_coarsen(log, graph, bin_width=args.bin_width,
-                               retweets_count_as_activity=activity)
+        activity = batch_coarsen(log, graph, bin_width=args.bin_width,
+                                 retweets_count_as_activity=retweets)
     if series_csv is not None:
-        write_series_csv(series, series_csv)
+        write_series_csv(activity, series_csv)
     if "te" in schemes:
         for k in lags:
-            wg = transfer_entropy_weights(graph, series, k, threads=args.threads)
-            built.append((wg, dict(meta, lag=k)))
+            built.append((transfer_entropy_weights(graph, activity, k),
+                          dict(meta, lag=k)))
     for scheme, build in (("mention", mention_share_weights),
                           ("retweet", retweet_share_weights),
                           ("mention_retweet", mention_retweet_weights)):
@@ -233,12 +243,16 @@ def _read_coverings(paths, universe: frozenset[str] | None,
     """
     coverings = {}
     for path in map(Path, paths):
-        label = path.stem.removeprefix("covering_")
+        label = _covering_label(path)
         if label in coverings:
             raise ValueError(f"duplicate covering label {label!r}")
         coverings[label] = read_covering(
             path, _named_nodes(path) if universe is None else universe)
     return coverings
+
+
+def _covering_label(path: Path) -> str:
+    return path.stem.removeprefix("covering_")
 
 
 def _named_nodes(path: Path) -> frozenset[str]:
@@ -301,9 +315,9 @@ def _write_edge_report(report: ConditionalWeightReport, out: Path,
 
 def cmd_edges(args) -> int:
     wg = read_weight_table(Path(args.weights))
-    covering = read_covering(Path(args.covering), wg.nodes)
-    count = _run_edges(wg, covering, Path(args.covering).stem, args.hist_bins,
-                       Path(args.output))
+    path = Path(args.covering)
+    count = _run_edges(wg, read_covering(path, wg.nodes), _covering_label(path),
+                       args.hist_bins, Path(args.output))
     print(f"edges: {count} edges partitioned -> {args.output}")
     return 0
 
@@ -378,8 +392,8 @@ def cmd_pipeline(args) -> int:
         "numpy": numpy.__version__,
         "networkx": networkx.__version__,
         "command": "pipeline",
-        # threads is deliberately absent: it cannot affect any output, so
-        # runs differing only in thread count stay byte-identical
+        # threads is deliberately absent: the flag has no effect, so runs
+        # differing only in thread count stay byte-identical
         "flags": {
             "threshold": args.threshold, "bin_width": args.bin_width,
             "max_lag": args.max_lag, "featured_lag": args.featured_lag,
@@ -436,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--events", help="events JSONL (default INPUT/events.jsonl)")
     p.add_argument("--follows", help="follow CSV (default INPUT/follows.csv)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--threshold", type=int, default=9,
+    p.add_argument("--threshold", type=_non_negative_int, default=9,
                    help="min outgoing AND incoming information events")
     p.set_defaults(func=cmd_ingest)
 
@@ -449,7 +463,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lag", type=_positive_int, help="single transfer-entropy lag")
     p.add_argument("--max-lag", type=_positive_int, default=6)
     p.add_argument("--bin-width", type=_positive_int, default=600)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--no-retweet-activity", action="store_true",
                    help="retweets do not mark the actor as active")
     p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
@@ -460,7 +475,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="detect overlapping communities")
     p.add_argument("--weights", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("compare", help="NMI matrix over covering files")
@@ -487,13 +502,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--threshold", type=int, default=9)
+    p.add_argument("--threshold", type=_non_negative_int, default=9)
     p.add_argument("--bin-width", type=_positive_int, default=600)
     p.add_argument("--max-lag", type=_positive_int, default=6)
     p.add_argument("--featured-lag", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--hist-bins", type=_positive_int, default=50)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
     p.add_argument("--no-retweet-activity", action="store_true")
     p.set_defaults(func=cmd_pipeline)

@@ -143,9 +143,8 @@ def nmi_matrix(coverings: dict[str, Covering]) -> tuple[list[str], np.ndarray]:
     labels = sorted(coverings)
     incidences = [_incidence(coverings[label]) for label in labels]
     size = len(labels)
-    matrix = np.zeros((size, size))
+    matrix = np.eye(size)  # nmi(c, c) is exactly 1.0 for every covering
     for i in range(size):
-        for j in range(i, size):
-            value = _nmi(incidences[i], incidences[j])
-            matrix[i, j] = matrix[j, i] = value
+        for j in range(i + 1, size):
+            matrix[i, j] = matrix[j, i] = _nmi(incidences[i], incidences[j])
     return labels, matrix

@@ -10,18 +10,20 @@ the joint-entropy decomposition
 with each term adjusted using its own observed-alphabet count and the common
 sample count n = T - k. A negative adjusted estimate is truncated to zero by
 default; the raw value stays available via ``truncate=False``.
+
+The first two terms depend on the target alone, so a pairwise table computes
+them once per node and only the two joint terms once per edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .activity import ActivitySeries
+from .activity import ActivityMatrix
 from .ingest import StructuralGraph
 
 
@@ -33,14 +35,6 @@ class EntropyEstimate:
     miller_madow: float
     observed_alphabet: int
     samples: int
-
-
-class WindowSample(NamedTuple):
-    """One pooled sample: a future bit and the k-bit pasts of both series."""
-
-    future: int
-    x_past: tuple[int, ...]
-    y_past: tuple[int, ...]
 
 
 def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
@@ -70,46 +64,36 @@ def _iter_symbols(symbols):
     return iter(symbols)
 
 
-def as_bits(series: ActivitySeries | Sequence[int] | np.ndarray) -> np.ndarray:
-    """Coerce an activity series or 0/1 sequence to a uint8 array."""
-    bins = series.bins if isinstance(series, ActivitySeries) else series
-    arr = np.asarray(bins)
+def as_bits(series: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Coerce a 0/1 sequence to a uint8 array."""
+    arr = np.asarray(series)
     if arr.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("series values must be 0 or 1")
     return arr.astype(np.uint8)
 
 
-def window_samples(x, y, k: int) -> list[WindowSample]:
-    """Pool the n = T - k (future, x_past, y_past) windows of two series.
-
-    Pooling across t is justified by assuming joint stationarity: the
-    predictive distribution depends only on the past pattern, not on when it
-    is observed.
-    """
-    xb, yb = as_bits(x), as_bits(y)
-    if len(xb) != len(yb):
-        raise ValueError(f"series lengths differ: {len(xb)} vs {len(yb)}")
-    t_len = len(xb)
+def _check_lag(k: int, t_len: int) -> None:
     if not 1 <= k < t_len:
         raise ValueError(f"lag k={k} must satisfy 1 <= k < T={t_len}")
-    return [
-        WindowSample(
-            future=int(xb[t]),
-            x_past=tuple(int(b) for b in xb[t - k:t]),
-            y_past=tuple(int(b) for b in yb[t - k:t]),
-        )
-        for t in range(k, t_len)
-    ]
 
 
 def _past_codes(bits: np.ndarray, k: int) -> np.ndarray:
-    """Pack each k-bit past window into an integer, one per sample."""
-    t_len = len(bits)
-    codes = np.zeros(t_len - k, dtype=np.int64)
-    for j in range(1, k + 1):
-        codes += bits[k - j:t_len - j].astype(np.int64) << (j - 1)
+    """Pack each k-bit past window along the last axis into an integer, one
+    per sample: (..., T) bits give (..., T - k) codes."""
+    t_len = bits.shape[-1]
+    codes = np.zeros(bits.shape[:-1] + (t_len - k,), dtype=np.int64)
+    for j in range(k, 0, -1):  # in place: bit t - j ends up at 1 << (j - 1)
+        codes <<= 1
+        codes |= bits[..., k - j:t_len - j]
+    return codes
+
+
+def _future_codes(bits: np.ndarray, past: np.ndarray, k: int) -> np.ndarray:
+    """x_t + 2 x_past: each next bit joined to the code of its past."""
+    codes = past << 1
+    codes |= bits[..., k:]
     return codes
 
 
@@ -119,6 +103,29 @@ def _entropy_from_codes(codes: np.ndarray, n: int) -> tuple[float, int]:
     nz = counts[counts > 0]
     probs = nz / n
     return float(-(probs * np.log2(probs)).sum()), len(nz)
+
+
+def _node_terms(x_future: np.ndarray, x_past: np.ndarray, n: int):
+    """The target-only terms: H[x_t, x_past] and H[x_past], each with its
+    observed-alphabet size. ``x_future`` holds the codes x_t + 2 x_past."""
+    return _entropy_from_codes(x_future, n), _entropy_from_codes(x_past, n)
+
+
+def _edge_terms(x_future: np.ndarray, x_past: np.ndarray, y_past: np.ndarray,
+                k: int, n: int):
+    """The joint terms H[x_t, x_past, y_past] and H[x_past, y_past]."""
+    return (_entropy_from_codes(x_future + (y_past << (k + 1)), n),
+            _entropy_from_codes(x_past + (y_past << k), n))
+
+
+def _te_from_terms(node_terms, edge_terms, n: int, truncate: bool) -> float:
+    (h_xfp, a_xfp), (h_xp, a_xp) = node_terms
+    (h_xfyp, a_xfyp), (h_xyp, a_xyp) = edge_terms
+    raw = (h_xfp - h_xp - h_xfyp + h_xyp
+           + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
+    if truncate and raw < 0.0:
+        return 0.0
+    return raw
 
 
 def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
@@ -131,77 +138,48 @@ def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
     xb, yb = as_bits(x), as_bits(y)
     if len(xb) != len(yb):
         raise ValueError(f"series lengths differ: {len(xb)} vs {len(yb)}")
-    t_len = len(xb)
-    if not 1 <= k < t_len:
-        raise ValueError(f"lag k={k} must satisfy 1 <= k < T={t_len}")
-    xt = xb[k:].astype(np.int64)
-    x_past = _past_codes(xb, k)
-    y_past = _past_codes(yb, k)
-    return _te_from_codes(xt, x_past, y_past, k, truncate)
+    _check_lag(k, len(xb))
+    n = len(xb) - k
+    x_past, y_past = _past_codes(np.stack([xb, yb]), k)
+    x_future = _future_codes(xb, x_past, k)
+    return _te_from_terms(_node_terms(x_future, x_past, n),
+                          _edge_terms(x_future, x_past, y_past, k, n),
+                          n, truncate)
 
 
-def _te_from_codes(xt: np.ndarray, x_past: np.ndarray, y_past: np.ndarray,
-                   k: int, truncate: bool) -> float:
-    n = len(xt)
-    h_xp, a_xp = _entropy_from_codes(x_past, n)
-    h_xfp, a_xfp = _entropy_from_codes(xt + (x_past << 1), n)
-    h_xyp, a_xyp = _entropy_from_codes(x_past + (y_past << k), n)
-    h_xfyp, a_xfyp = _entropy_from_codes(xt + (x_past << 1) + (y_past << (k + 1)), n)
-    raw = (h_xfp - h_xp - h_xfyp + h_xyp
-           + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
-    if truncate and raw < 0.0:
-        return 0.0
-    return raw
-
-
-def pairwise_transfer_entropy(graph: StructuralGraph,
-                              series: dict[str, ActivitySeries],
+def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
                               k: int, truncate: bool = True,
-                              threads: int = 1) -> dict[tuple[str, str], float]:
+                              ) -> dict[tuple[str, str], float]:
     """Transfer entropy along every follow edge, keyed by (followee, follower).
 
     The followee is the source and the follower the target, matching the
-    direction information flows. Work is pure per edge, so the result is
-    identical for any thread count.
+    direction information flows.
     """
+    index = activity.index
     for node in graph.nodes:
-        if node not in series:
+        if node not in index:
             raise ValueError(f"no activity series for node {node!r}")
-    prepped: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    t_len = None
-    for node in sorted(graph.nodes):
-        bits = as_bits(series[node])
-        if t_len is None:
-            t_len = len(bits)
-            if not 1 <= k < t_len:
-                raise ValueError(f"lag k={k} must satisfy 1 <= k < T={t_len}")
-        elif len(bits) != t_len:
-            raise ValueError(f"series for node {node!r} has length "
-                             f"{len(bits)}, expected {t_len}")
-        prepped[node] = (bits[k:].astype(np.int64), _past_codes(bits, k))
-
-    edges = sorted(graph.edges)
-
-    def one(edge: tuple[str, str]) -> float:
-        followee, follower = edge
-        xt, x_past = prepped[follower]
-        _, y_past = prepped[followee]
-        return _te_from_codes(xt, x_past, y_past, k, truncate)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, edges))
-    else:
-        values = [one(e) for e in edges]
-    return dict(zip(edges, values))
+    if not graph.nodes:
+        return {}
+    _check_lag(k, activity.bits.shape[1])
+    n = activity.bits.shape[1] - k
+    past = _past_codes(activity.bits, k)
+    future = _future_codes(activity.bits, past, k)
+    node_terms = {}
+    table = {}
+    for followee, follower in sorted(graph.edges):
+        x, y = index[follower], index[followee]
+        if follower not in node_terms:
+            node_terms[follower] = _node_terms(future[x], past[x], n)
+        table[(followee, follower)] = _te_from_terms(
+            node_terms[follower], _edge_terms(future[x], past[x], past[y], k, n),
+            n, truncate)
+    return table
 
 
-def lag_sweep(graph: StructuralGraph, series: dict[str, ActivitySeries],
+def lag_sweep(graph: StructuralGraph, activity: ActivityMatrix,
               lags: Iterable[int] = range(1, 7), truncate: bool = True,
-              threads: int = 1) -> dict[int, dict[tuple[str, str], float]]:
+              ) -> dict[int, dict[tuple[str, str], float]]:
     """One pairwise transfer-entropy table per lag."""
-    return {
-        k: pairwise_transfer_entropy(graph, series, k, truncate=truncate,
-                                     threads=threads)
-        for k in lags
-    }
+    return {k: pairwise_transfer_entropy(graph, activity, k, truncate=truncate)
+            for k in lags}

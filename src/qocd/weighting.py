@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .activity import ActivitySeries
+from .activity import ActivityMatrix
 from .infotheory import pairwise_transfer_entropy
 from .ingest import EventLog, StructuralGraph
 
@@ -67,13 +67,10 @@ def structural_weights(graph: StructuralGraph) -> WeightedDigraph:
     return _from_weights(graph, {e: 1.0 for e in graph.edges}, "structural")
 
 
-def transfer_entropy_weights(graph: StructuralGraph,
-                             series: dict[str, ActivitySeries], k: int,
-                             truncate: bool = True,
-                             threads: int = 1) -> WeightedDigraph:
+def transfer_entropy_weights(graph: StructuralGraph, activity: ActivityMatrix,
+                             k: int, truncate: bool = True) -> WeightedDigraph:
     """Lag-k transfer entropy of the followee's series on the follower's."""
-    table = pairwise_transfer_entropy(graph, series, k, truncate=truncate,
-                                      threads=threads)
+    table = pairwise_transfer_entropy(graph, activity, k, truncate=truncate)
     return _from_weights(graph, table, f"te_lag{k}")
 
 

@@ -144,10 +144,10 @@ def test_criterion_7_planted_recovery():
                           epsilon=0.4, rho=0.05, bins=9072,
                           interaction_intra_bias=0.9, seed=7)
         log, graph, truth = generate(cfg)
-        series = batch_coarsen(log, graph, bin_width=cfg.bin_width,
-                               window=planted_window(cfg))
+        activity = batch_coarsen(log, graph, bin_width=cfg.bin_width,
+                                 window=planted_window(cfg))
         te_cov = detect_communities(
-            transfer_entropy_weights(graph, series, 1, threads=1))
+            transfer_entropy_weights(graph, activity, 1))
         te_nmi = nmi(te_cov, truth.covering)
         mr_cov = detect_communities(mention_retweet_weights(graph, log))
         mr_nmi = nmi(mr_cov, truth.covering)
@@ -166,9 +166,9 @@ def test_criterion_8_cross_boundary_information_flow():
                           cross_influencers=5, cross_span=3,
                           cross_epsilon=0.45)
         log, graph, truth = generate(cfg)
-        series = batch_coarsen(log, graph, bin_width=cfg.bin_width,
-                               window=planted_window(cfg))
-        te1 = transfer_entropy_weights(graph, series, 1)
+        activity = batch_coarsen(log, graph, bin_width=cfg.bin_width,
+                                 window=planted_window(cfg))
+        te1 = transfer_entropy_weights(graph, activity, 1)
         classes = partition_edges(te1, truth.covering)
         grouped = {cls: [] for cls in EdgeClass}
         for edge, cls in classes.items():
@@ -177,7 +177,7 @@ def test_criterion_8_cross_boundary_information_flow():
         assert crossing and grouped[EdgeClass.INTRA]
         assert median_low(crossing) > median_low(grouped[EdgeClass.INTRA])
 
-        te2 = transfer_entropy_weights(graph, series, 2)
+        te2 = transfer_entropy_weights(graph, activity, 2)
         cov1 = detect_communities(te1)
         cov2 = detect_communities(te2)
         cov_mr = detect_communities(mention_retweet_weights(graph, log))

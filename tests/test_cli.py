@@ -130,6 +130,8 @@ def test_detect_compare_edges_report(dataset, ingested, tmp_path):
     assert main(["edges", "--weights", str(wdir / "weights_mention_retweet.csv"),
                  "--covering", str(cov_b), "-o", str(edir)]) == 0
     summary = json.loads((edir / "summary.json").read_text())
+    # labelled as pipeline, compare and report label it: no covering_ prefix
+    assert summary["covering"] == "mention_retweet"
     counts = [summary["classes"][c]["count"]
               for c in ("inter", "intra", "mixed")]
     wg = read_weight_table(wdir / "weights_mention_retweet.csv")
@@ -181,6 +183,11 @@ def test_usage_errors_exit_one():
     ["--max-lag", "x"],
     ["--hist-bins", "0"],
     ["--hist-bins", "-3"],
+    ["--alpha", "0"],
+    ["--alpha", "-1"],
+    ["--alpha", "nan"],
+    ["--threshold", "-5"],
+    ["--threads", "0"],
 ])
 def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -195,6 +202,9 @@ def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     ["weight", "--scheme", "te", "--max-lag", "0"],
     ["weight", "--scheme", "te", "--lag", "0"],
     ["edges", "--hist-bins", "0"],
+    ["detect", "--alpha", "0"],
+    ["ingest", "--threshold", "-5"],
+    ["weight", "--scheme", "te", "--threads", "0"],
 ])
 def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
     out = tmp_path / "out"
@@ -204,6 +214,8 @@ def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
         # missing files would exit 2 if the flag got past the parser
         "edges": ["--weights", str(tmp_path / "weights_x.csv"),
                   "--covering", str(tmp_path / "covering_x.txt")],
+        "detect": ["--weights", str(tmp_path / "weights_x.csv")],
+        "ingest": ["-i", str(dataset)],
     }.get(command[0], [])
     assert main(command + inputs + ["-o", str(out)]) == 1
     assert not out.exists()

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qocd.activity import ActivitySeries
+from qocd.activity import ActivityMatrix
 from qocd.infotheory import (lag_sweep, pairwise_transfer_entropy,
-                             plugin_entropy, transfer_entropy, window_samples)
+                             plugin_entropy, transfer_entropy)
 from qocd.ingest import StructuralGraph
 
 from oracles import brute_force_te
@@ -38,38 +38,6 @@ class TestPluginEntropy:
     def test_empty_is_an_error(self):
         with pytest.raises(ValueError, match="no samples"):
             plugin_entropy([])
-
-
-class TestWindowSamples:
-    def test_sample_count(self):
-        x = np.zeros(10, dtype=int)
-        assert len(window_samples(x, x, 4)) == 6
-        assert len(window_samples(x, x, 6)) == 4
-
-    def test_lag_must_be_smaller_than_length(self):
-        x = np.zeros(10, dtype=int)
-        with pytest.raises(ValueError):
-            window_samples(x, x, 10)
-        with pytest.raises(ValueError):
-            window_samples(x, x, 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            window_samples(np.zeros(5, dtype=int), np.zeros(6, dtype=int), 1)
-
-    def test_window_contents(self):
-        x = np.array([1, 0, 1, 1])
-        y = np.array([0, 1, 0, 0])
-        samples = window_samples(x, y, 2)
-        assert samples[0].future == 1
-        assert samples[0].x_past == (1, 0)
-        assert samples[0].y_past == (0, 1)
-
-    def test_sample_count_shrinks_with_lag(self):
-        x = np.zeros(50, dtype=int)
-        counts = [len(window_samples(x, x, k)) for k in range(1, 7)]
-        assert counts == sorted(counts, reverse=True)
-        assert len(set(counts)) == len(counts)
 
 
 class TestTransferEntropy:
@@ -130,9 +98,16 @@ class TestTransferEntropy:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_accepts_activity_series(self):
-        x = ActivitySeries("a", np.array([0, 1, 0, 1, 1], dtype=np.uint8), 600, 0)
-        y = ActivitySeries("b", np.array([1, 0, 1, 0, 0], dtype=np.uint8), 600, 0)
-        assert transfer_entropy(x, y, 1) >= 0.0
+        a, b = activity_of({"a": [0, 1, 0, 1, 1], "b": [1, 0, 1, 0, 0]}).bits
+        te = transfer_entropy(a, b, 1)
+        assert te >= 0.0
+        assert te == transfer_entropy([0, 1, 0, 1, 1], [1, 0, 1, 0, 0], 1)
+
+    def test_rejects_non_binary_and_two_dimensional_input(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            transfer_entropy([0, 2, 1], [0, 1, 1], 1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            transfer_entropy(np.zeros((2, 5), dtype=int), np.zeros(5, dtype=int), 1)
 
     def test_convergence_to_analytic_value(self):
         # x copies y through a binary symmetric channel with flip rate q;
@@ -150,9 +125,10 @@ class TestTransferEntropy:
         assert errors[2] < 0.005
 
 
-def series_map(arrays):
-    return {name: ActivitySeries(name, np.asarray(bits, dtype=np.uint8), 600, 0)
-            for name, bits in arrays.items()}
+def activity_of(arrays):
+    names = sorted(arrays)
+    return ActivityMatrix(tuple(names), np.array([arrays[n] for n in names]),
+                          600, 0)
 
 
 class TestPairwise:
@@ -161,7 +137,7 @@ class TestPairwise:
         y = rng.integers(0, 2, 10_000)
         x = np.concatenate(([0], y[:-1]))
         graph = StructuralGraph.from_edges([("u", "f")])
-        table = pairwise_transfer_entropy(graph, series_map({"u": y, "f": x}), 1)
+        table = pairwise_transfer_entropy(graph, activity_of({"u": y, "f": x}), 1)
         assert abs(table[("u", "f")] - 1.0) < 0.01
 
     def test_silent_followee(self):
@@ -169,29 +145,44 @@ class TestPairwise:
         x = rng.integers(0, 2, 500)
         graph = StructuralGraph.from_edges([("u", "f")])
         table = pairwise_transfer_entropy(
-            graph, series_map({"u": np.zeros(500, dtype=int), "f": x}), 1)
+            graph, activity_of({"u": np.zeros(500, dtype=int), "f": x}), 1)
         assert table[("u", "f")] == 0.0
 
     def test_missing_series_names_the_node(self):
         graph = StructuralGraph.from_edges([("u", "f")])
         with pytest.raises(ValueError, match="'f'"):
-            pairwise_transfer_entropy(graph, series_map({"u": [0, 1, 0]}), 1)
+            pairwise_transfer_entropy(graph, activity_of({"u": [0, 1, 0]}), 1)
 
     def test_lag_sweep_yields_one_table_per_lag(self):
         rng = np.random.default_rng(10)
         graph = StructuralGraph.from_edges([("u", "f"), ("f", "u")])
-        series = series_map({"u": rng.integers(0, 2, 50),
-                             "f": rng.integers(0, 2, 50)})
-        tables = lag_sweep(graph, series, lags=range(1, 7))
+        activity = activity_of({"u": rng.integers(0, 2, 50),
+                                "f": rng.integers(0, 2, 50)})
+        tables = lag_sweep(graph, activity, lags=range(1, 7))
         assert sorted(tables) == [1, 2, 3, 4, 5, 6]
         assert all(set(t) == set(graph.edges) for t in tables.values())
 
-    def test_thread_count_does_not_change_values(self):
+    def test_lag_out_of_range_is_rejected(self):
+        graph = StructuralGraph.from_edges([("u", "f")])
+        activity = activity_of({"u": [0, 1, 0], "f": [1, 0, 1]})
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="lag"):
+                pairwise_transfer_entropy(graph, activity, k)
+
+    def test_equals_the_single_pair_estimator_bit_for_bit(self):
+        # the table shares each follower's own terms across its in-edges;
+        # every value must still equal the one-pair call exactly
         rng = np.random.default_rng(11)
         nodes = [f"n{i}" for i in range(8)]
-        edges = [(a, b) for a in nodes for b in nodes if a < b]
+        edges = [(a, b) for a in nodes for b in nodes if a != b]
         graph = StructuralGraph.from_edges(edges)
-        series = series_map({n: rng.integers(0, 2, 300) for n in nodes})
-        single = pairwise_transfer_entropy(graph, series, 2, threads=1)
-        multi = pairwise_transfer_entropy(graph, series, 2, threads=4)
-        assert single == multi
+        bits = {n: (rng.random(300) < rng.uniform(0.05, 0.6)).astype(int)
+                for n in nodes}
+        activity = activity_of(bits)
+        for k in (1, 2, 5):
+            for truncate in (True, False):
+                table = pairwise_transfer_entropy(graph, activity, k,
+                                                  truncate=truncate)
+                assert table == {
+                    (v, u): transfer_entropy(bits[u], bits[v], k, truncate)
+                    for v, u in edges}

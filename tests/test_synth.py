@@ -63,9 +63,9 @@ def test_no_coupling_means_no_information_flow():
                       p_in=0.5, p_out=0.05, rho=0.15, epsilon=0.0,
                       mention_events=0, retweet_events=0)
     log, graph, truth = generate(cfg)
-    series = batch_coarsen(log, graph, bin_width=cfg.bin_width,
-                           window=(0, cfg.bins * cfg.bin_width - 1))
-    wg = transfer_entropy_weights(graph, series, 1)
+    activity = batch_coarsen(log, graph, bin_width=cfg.bin_width,
+                             window=(0, cfg.bins * cfg.bin_width - 1))
+    wg = transfer_entropy_weights(graph, activity, 1)
     on_influence = [wg.weights[e] for e in truth.influence_edges]
     elsewhere = [w for e, w in wg.weights.items()
                  if e not in truth.influence_edges]
@@ -80,9 +80,9 @@ def test_coupled_influence_edges_stand_out():
                       influence_in_degree=2,
                       mention_events=0, retweet_events=0)
     log, graph, truth = generate(cfg)
-    series = batch_coarsen(log, graph, bin_width=cfg.bin_width,
-                           window=(0, cfg.bins * cfg.bin_width - 1))
-    wg = transfer_entropy_weights(graph, series, 1)
+    activity = batch_coarsen(log, graph, bin_width=cfg.bin_width,
+                             window=(0, cfg.bins * cfg.bin_width - 1))
+    wg = transfer_entropy_weights(graph, activity, 1)
     on_influence = [wg.weights[e] for e in truth.influence_edges]
     elsewhere = [w for e, w in wg.weights.items()
                  if e not in truth.influence_edges]
@@ -91,7 +91,8 @@ def test_coupled_influence_edges_stand_out():
     # spot-check a handful of edges against the reference estimator
     for edge in sorted(truth.influence_edges)[:3]:
         followee, follower = edge
-        expected = brute_force_te(series[follower].bins, series[followee].bins, 1)
+        x, y = activity.index[follower], activity.index[followee]
+        expected = brute_force_te(activity.bits[x], activity.bits[y], 1)
         assert wg.weights[edge] == pytest.approx(max(expected, 0.0), abs=1e-10)
 
 
