@@ -13,7 +13,7 @@ from .communities import (Covering, FitnessParams, covering_stats,
 from .compare import nmi, nmi_matrix
 from .edgestats import (EdgeClass, classify_edge, conditional_weights,
                         median_low, partition_edges, size_ccdf)
-from .infotheory import (EntropyEstimate, lag_sweep, pairwise_transfer_entropy,
+from .infotheory import (EntropyEstimate, pairwise_transfer_entropy,
                          plugin_entropy, transfer_entropy)
 from .ingest import (Event, EventLog, FilterReport, InfoEventCounts,
                      StructuralGraph, count_information_events, filter_active,
@@ -33,8 +33,8 @@ __all__ = [
     "WeightedDigraph", "batch_coarsen", "classify_edge", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",
     "detect_communities", "filter_active", "generate", "giant_scc",
-    "hashtag_similarity_weights", "hashtag_tfidf_vectors", "lag_sweep",
-    "median_low", "mention_retweet_weights",
+    "hashtag_similarity_weights", "hashtag_tfidf_vectors", "median_low",
+    "mention_retweet_weights",
     "mention_share_weights", "nmi", "nmi_matrix", "orphans",
     "pairwise_transfer_entropy", "parse_events",
     "partition_edges", "plugin_entropy", "read_covering", "read_events",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +50,6 @@ class ActivityMatrix:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "bits", bits)
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Row number of each node."""
-        return {node: i for i, node in enumerate(self.nodes)}
-
 
 def default_window(log: EventLog, bin_width: int) -> tuple[int, int]:
     """Observation window for a log: [min ts floored to a bin, max ts]."""
@@ -81,7 +75,7 @@ def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    nodes = tuple(sorted(graph.nodes))
+    nodes = graph.nodes
     if not nodes:
         return ActivityMatrix(nodes, np.zeros((0, 0), dtype=np.uint8),
                               bin_width, window[0] if window else 0)

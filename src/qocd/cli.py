@@ -76,10 +76,11 @@ def _fmt(value: float) -> str:
 
 
 def write_weight_table(wg: WeightedDigraph, path: Path, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source,target,weight\n")
-        for (v, u), w in sorted(wg.weights.items()):
-            fh.write(f"{v},{u},{_fmt(w)}\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["source", "target", "weight"])
+        writer.writerows((v, u, _fmt(w)) for (v, u), w
+                         in zip(wg.graph.edges, wg.values.tolist()))
     sidecar = dict(meta, scheme=wg.scheme)
     path.with_suffix(".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -98,8 +99,7 @@ def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
             if len(row) != 3:
                 raise ValueError(f"bad weight row in {path}: {row!r}")
             weights[(row[0], row[1])] = float(row[2])
-    nodes = frozenset(v for e in weights for v in e)
-    return WeightedDigraph(nodes=nodes, weights=weights, scheme=scheme)
+    return WeightedDigraph.from_mapping(weights, scheme)
 
 
 def _sha256(path: Path) -> str:
@@ -125,6 +125,11 @@ def cmd_synth(args) -> int:
         mention_events=args.mention_events, retweet_events=args.retweet_events,
         interaction_intra_bias=args.interaction_intra_bias, seed=args.seed,
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:  # a bad flag: exit 1 before any output
+        sys.stderr.write(f"qocd synth: error: {exc}\n")
+        return 1
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     log, graph, truth = generate(cfg)
@@ -218,8 +223,8 @@ def cmd_weight(args) -> int:
                           else None)
     for name, wg in tables.items():
         print(f"weight: wrote weights_{name}.csv "
-              f"({sum(1 for w in wg.weights.values() if w > 0)} positive "
-              f"of {len(wg.weights)} edges)")
+              f"({int((wg.values > 0).sum())} positive "
+              f"of {len(wg.values)} edges)")
     return 0
 
 
@@ -268,7 +273,7 @@ def _named_nodes(path: Path) -> frozenset[str]:
 
 def cmd_compare(args) -> int:
     graph = read_follow_edges(Path(args.graph))
-    coverings = _read_coverings(args.coverings, graph.nodes)
+    coverings = _read_coverings(args.coverings, frozenset(graph.nodes))
     labels, matrix = nmi_matrix(coverings)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -316,8 +321,8 @@ def _write_edge_report(report: ConditionalWeightReport, out: Path,
 def cmd_edges(args) -> int:
     wg = read_weight_table(Path(args.weights))
     path = Path(args.covering)
-    count = _run_edges(wg, read_covering(path, wg.nodes), _covering_label(path),
-                       args.hist_bins, Path(args.output))
+    count = _run_edges(wg, read_covering(path, wg.graph.nodes),
+                       _covering_label(path), args.hist_bins, Path(args.output))
     print(f"edges: {count} edges partitioned -> {args.output}")
     return 0
 
@@ -344,7 +349,8 @@ def _write_report(coverings: dict[str, Covering], tables, out: Path) -> None:
 
 
 def cmd_report(args) -> int:
-    universe = read_follow_edges(Path(args.graph)).nodes if args.graph else None
+    universe = (frozenset(read_follow_edges(Path(args.graph)).nodes)
+                if args.graph else None)
     coverings = _read_coverings(sorted(args.coverings), universe)
     tables = [read_weight_table(Path(p)) for p in sorted(args.weights)]
     _write_report(coverings, tables, Path(args.output))

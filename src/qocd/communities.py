@@ -45,14 +45,6 @@ class Covering:
         covered = set().union(*self.communities) if self.communities else set()
         return tuple(sorted(self.universe - covered))
 
-    def membership_ids(self, node: str) -> frozenset:
-        if node not in self.universe:
-            raise ValueError(f"node {node!r} not in the covering universe")
-        ids = frozenset(i for i, c in enumerate(self.communities) if node in c)
-        if ids:
-            return ids
-        return frozenset({f"singleton:{node}"})
-
     def all_memberships(self) -> dict[str, frozenset]:
         out = {node: set() for node in self.universe}
         for i, comm in enumerate(self.communities):
@@ -177,11 +169,15 @@ class _FitnessState:
 
 def _positive_adjacency(wg: WeightedDigraph):
     """Symmetric neighbor->weight maps, pooling both edge directions and
-    ignoring zero-weight edges."""
-    adjacency: dict[str, dict[str, float]] = {node: {} for node in wg.nodes}
-    for (v, u), w in wg.weights.items():
-        if w <= 0:
-            continue
+    ignoring zero-weight edges. The maps fill in edge order, so every float
+    sum over one runs in the same order under any hash seed."""
+    nodes = wg.graph.nodes
+    adjacency: dict[str, dict[str, float]] = {node: {} for node in nodes}
+    positive = wg.values > 0
+    for s, d, w in zip(wg.graph.src[positive].tolist(),
+                       wg.graph.dst[positive].tolist(),
+                       wg.values[positive].tolist()):
+        v, u = nodes[s], nodes[d]
         adjacency[v][u] = adjacency[v].get(u, 0.0) + w
         adjacency[u][v] = adjacency[u].get(v, 0.0) + w
     strength = {node: sum(nbrs.values()) for node, nbrs in adjacency.items()}
@@ -201,11 +197,12 @@ def detect_communities(wg: WeightedDigraph,
     end at one node become singletons. The procedure is deterministic.
     """
     adjacency, strength = _positive_adjacency(wg)
+    universe = frozenset(wg.graph.nodes)
     if not any(s > 0 for s in strength.values()):
         warnings.warn("no positive-weight edges; covering is all singletons")
-        return Covering(universe=wg.nodes, communities=())
+        return Covering(universe=universe, communities=())
 
-    seeds = sorted(wg.nodes, key=lambda n: (-strength[n], n))
+    seeds = sorted(wg.graph.nodes, key=lambda n: (-strength[n], n))
     covered: set[str] = set()
     communities: list[frozenset[str]] = []
     known = set()
@@ -247,4 +244,4 @@ def detect_communities(wg: WeightedDigraph,
             known.add(found)
             communities.append(found)
 
-    return Covering(universe=wg.nodes, communities=tuple(communities))
+    return Covering(universe=universe, communities=tuple(communities))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,16 +38,16 @@ def classify_edge(mu: frozenset, mf: frozenset) -> EdgeClass:
 
 
 def partition_edges(wg: WeightedDigraph, covering: Covering,
-                    ) -> dict[tuple[str, str], EdgeClass]:
-    """Class of every edge of the graph under the covering."""
-    if not wg.nodes <= covering.universe:
-        missing = sorted(wg.nodes - covering.universe)[0]
-        raise ValueError(f"node {missing!r} has no covering membership")
+                    ) -> tuple[EdgeClass, ...]:
+    """Class of every edge of the graph under the covering, in edge order."""
+    graph = wg.graph
     memberships = covering.all_memberships()
-    return {
-        (v, u): classify_edge(memberships[v], memberships[u])
-        for v, u in wg.edges
-    }
+    missing = [node for node in graph.nodes if node not in memberships]
+    if missing:
+        raise ValueError(f"node {missing[0]!r} has no covering membership")
+    rows = [memberships[node] for node in graph.nodes]
+    return tuple(classify_edge(rows[v], rows[u])
+                 for v, u in zip(graph.src.tolist(), graph.dst.tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,21 +101,20 @@ def weight_ccdf(values) -> tuple[tuple[float, float], ...]:
                  for w, count in zip(distinct.tolist(), above.tolist()))
 
 
-def conditional_weights(wg: WeightedDigraph,
-                        classes: dict[tuple[str, str], EdgeClass],
+def conditional_weights(wg: WeightedDigraph, classes: Sequence[EdgeClass],
                         bins: int = 50) -> ConditionalWeightReport:
     """Count, median, histogram, and CCDF of weights per edge class.
 
-    Histograms share bin edges across classes (equal-width over the full
-    observed weight range) so the three distributions are comparable.
+    ``classes`` holds one class per edge, in edge order. Histograms share
+    bin edges across classes (equal-width over the full observed weight
+    range) so the three distributions are comparable.
     """
-    missing = set(wg.edges) - set(classes)
-    if missing:
-        v, u = sorted(missing)[0]
-        raise ValueError(f"edge ({v!r}, {u!r}) has no class")
+    if len(classes) != len(wg.values):
+        raise ValueError(f"{len(classes)} edge classes for "
+                         f"{len(wg.values)} edges")
     grouped: dict[EdgeClass, list[float]] = {cls: [] for cls in EdgeClass}
-    for edge, cls in classes.items():
-        grouped[cls].append(wg.weights[edge])
+    for cls, w in zip(classes, wg.values.tolist()):
+        grouped[cls].append(w)
     all_weights = [w for ws in grouped.values() for w in ws]
     if all_weights:
         lo, hi = min(all_weights), max(all_weights)

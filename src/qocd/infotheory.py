@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,38 +148,29 @@ def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
 
 
 def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
-                              k: int, truncate: bool = True,
-                              ) -> dict[tuple[str, str], float]:
-    """Transfer entropy along every follow edge, keyed by (followee, follower).
+                              k: int, truncate: bool = True) -> np.ndarray:
+    """Transfer entropy along every follow edge, in the graph's edge order.
 
     The followee is the source and the follower the target, matching the
-    direction information flows.
+    direction information flows. ``activity`` has one row per graph node,
+    in the graph's node order.
     """
-    index = activity.index
-    for node in graph.nodes:
-        if node not in index:
-            raise ValueError(f"no activity series for node {node!r}")
+    if activity.nodes != graph.nodes:
+        stray = sorted(set(activity.nodes).symmetric_difference(graph.nodes))
+        raise ValueError(
+            f"activity rows differ from the graph nodes at {stray[0]!r}")
     if not graph.nodes:
-        return {}
+        return np.zeros(0)
     _check_lag(k, activity.bits.shape[1])
     n = activity.bits.shape[1] - k
     past = _past_codes(activity.bits, k)
     future = _future_codes(activity.bits, past, k)
     node_terms = {}
-    table = {}
-    for followee, follower in sorted(graph.edges):
-        x, y = index[follower], index[followee]
-        if follower not in node_terms:
-            node_terms[follower] = _node_terms(future[x], past[x], n)
-        table[(followee, follower)] = _te_from_terms(
-            node_terms[follower], _edge_terms(future[x], past[x], past[y], k, n),
+    table = np.empty(len(graph.src))
+    for i, (y, x) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
+        if x not in node_terms:
+            node_terms[x] = _node_terms(future[x], past[x], n)
+        table[i] = _te_from_terms(
+            node_terms[x], _edge_terms(future[x], past[x], past[y], k, n),
             n, truncate)
     return table
-
-
-def lag_sweep(graph: StructuralGraph, activity: ActivityMatrix,
-              lags: Iterable[int] = range(1, 7), truncate: bool = True,
-              ) -> dict[int, dict[tuple[str, str], float]]:
-    """One pairwise transfer-entropy table per lag."""
-    return {k: pairwise_transfer_entropy(graph, activity, k, truncate=truncate)
-            for k in lags}

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+import numpy as np
+
 EVENT_KINDS = ("post", "mention", "retweet")
 
 
@@ -48,39 +50,76 @@ class EventLog:
         return iter(self.events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralGraph:
     """Directed follow graph; an edge (v, u) means u follows v.
 
     Edges therefore point from the followee to the follower, i.e. along the
-    direction of information flow. No self-loops; every endpoint is a node.
+    direction of information flow. ``nodes`` is sorted and unique, and edge
+    i runs from ``nodes[src[i]]`` to ``nodes[dst[i]]``. The int32 index
+    arrays are read-only and sorted by (src, dst), with no duplicate edges
+    and no self-loops. Node order is string order, so edge order is the
+    sorted order of the (followee, follower) pairs; every consumer walks
+    the edges in it.
     """
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    nodes: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
 
     def __post_init__(self):
-        for v, u in self.edges:
-            if v == u:
-                raise ValueError(f"self-loop on node {v!r}")
-            if v not in self.nodes or u not in self.nodes:
-                raise ValueError(f"edge ({v!r}, {u!r}) has endpoint outside node set")
+        nodes = tuple(self.nodes)
+        if list(nodes) != sorted(set(nodes)):
+            raise ValueError("graph nodes must be sorted and unique")
+        src, dst = (np.array(a, dtype=np.int32) for a in (self.src, self.dst))
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("src and dst must be 1-D arrays of equal length")
+        if len(src) and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= len(nodes)):
+            raise ValueError("edge endpoint outside the node set")
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            raise ValueError(f"self-loop on node {nodes[src[loops[0]]]!r}")
+        keys = src.astype(np.int64) * len(nodes) + dst
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("edges must be sorted by (src, dst) without "
+                             "duplicates")
+        src.flags.writeable = dst.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]],
                    nodes: Iterable[str] = ()) -> "StructuralGraph":
-        edge_set = frozenset(edges)
-        node_set = frozenset(nodes) | {v for e in edge_set for v in e}
-        return cls(nodes=node_set, edges=edge_set)
+        """Graph on the given edges, deduplicated, plus any extra nodes."""
+        edge_list = list(edges)
+        names = sorted(set(nodes).union(*edge_list))
+        index = {node: i for i, node in enumerate(names)}
+        codes = np.fromiter((index[node] for edge in edge_list for node in edge),
+                            dtype=np.int64, count=2 * len(edge_list))
+        codes = codes.reshape(-1, 2)
+        keys = np.sort(codes[:, 0] * len(names) + codes[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # drop repeated edges
+        return cls(tuple(names), *np.divmod(keys, len(names)))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The (followee, follower) pairs, in edge order."""
+        nodes = self.nodes
+        return tuple((nodes[v], nodes[u])
+                     for v, u in zip(self.src.tolist(), self.dst.tolist()))
 
     def subgraph(self, keep: Iterable[str]) -> "StructuralGraph":
         """Induced subgraph on ``keep``."""
         keep_set = frozenset(keep)
+        mask = np.fromiter((node in keep_set for node in self.nodes),
+                           dtype=bool, count=len(self.nodes))
+        renumber = np.cumsum(mask) - 1
+        inside = mask[self.src] & mask[self.dst]
         return StructuralGraph(
-            nodes=keep_set & self.nodes,
-            edges=frozenset((v, u) for v, u in self.edges
-                            if v in keep_set and u in keep_set),
-        )
+            nodes=tuple(node for node, kept in zip(self.nodes, mask) if kept),
+            src=renumber[self.src[inside]], dst=renumber[self.dst[inside]])
 
 
 @dataclass(frozen=True)
@@ -190,7 +229,7 @@ def read_follow_edges(path) -> StructuralGraph:
 
     Rows are deduplicated; self-follow rows and short rows are ignored.
     """
-    edges = set()
+    edges = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -202,7 +241,7 @@ def read_follow_edges(path) -> StructuralGraph:
             followee, follower = row[0].strip(), row[1].strip()
             if not followee or not follower or followee == follower:
                 continue
-            edges.add((followee, follower))
+            edges.append((followee, follower))
     return StructuralGraph.from_edges(edges)
 
 
@@ -210,7 +249,7 @@ def write_follow_edges(graph: StructuralGraph, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["followee", "follower"])
-        writer.writerows(sorted(graph.edges))
+        writer.writerows(graph.edges)
 
 
 def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEventCounts:
@@ -221,7 +260,7 @@ def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEvent
     in-network users, plus retweets made by u of in-network users. Events
     touching anyone outside the graph are ignored entirely.
     """
-    nodes = graph.nodes
+    nodes = frozenset(graph.nodes)
     outgoing: Counter[str] = Counter()
     incoming: Counter[str] = Counter()
     for ev in log.events:
@@ -283,7 +322,7 @@ def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
     report = FilterReport(
         kept=frozenset(giant),
         removed_inactive=frozenset(),
-        removed_not_in_gscc=frozenset(graph.nodes - giant),
+        removed_not_in_gscc=frozenset(graph.nodes) - giant,
         thresholds={},
     )
     return graph.subgraph(giant), report

@@ -200,8 +200,8 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     events.sort(key=lambda e: (e.ts, e.kind, e.actor, e.target or ""))
     log = EventLog(events=tuple(events))
 
-    edges = {(ids[v], ids[u]) for v, u in zip(*np.nonzero(follow))}
-    graph = StructuralGraph.from_edges(edges, nodes=ids)
+    # ids sort like their indices, and nonzero walks rows in order
+    graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
 
     influence_edges = {
         (ids[s], ids[t])

@@ -20,31 +20,52 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping
+
+import numpy as np
 
 from .activity import ActivityMatrix
 from .infotheory import pairwise_transfer_entropy
 from .ingest import EventLog, StructuralGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """A structural graph plus one weight per edge under a named scheme."""
+    """A structural graph plus one weight per edge under a named scheme.
 
-    nodes: frozenset[str]
-    weights: Mapping[tuple[str, str], float]
+    ``values[i]`` is the weight of edge i of ``graph``: a read-only float64
+    array in the graph's edge order.
+    """
+
+    graph: StructuralGraph
+    values: np.ndarray
     scheme: str
 
     def __post_init__(self):
-        for (v, u), w in self.weights.items():
-            if v not in self.nodes or u not in self.nodes:
-                raise ValueError(f"weighted edge ({v!r}, {u!r}) outside node set")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({v!r}, {u!r})")
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != self.graph.src.shape:
+            raise ValueError(f"{values.size} weights for "
+                             f"{len(self.graph.src)} edges")
+        if not (values >= 0).all():
+            raise ValueError("weights must be non-negative numbers")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
-    @property
-    def edges(self):
-        return self.weights.keys()
+    @classmethod
+    def from_mapping(cls, weights: Mapping[tuple[str, str], float], scheme: str,
+                     nodes: Iterable[str] = ()) -> "WeightedDigraph":
+        """The graph on the edges of ``weights``, plus any extra nodes, with
+        those weights."""
+        graph = StructuralGraph.from_edges(weights, nodes)
+        return cls(graph, [weights[e] for e in graph.edges], scheme)
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[str, str], float]:
+        """Read-only (followee, follower) -> weight view, in edge order."""
+        return MappingProxyType(dict(zip(self.graph.edges,
+                                         self.values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -58,65 +79,59 @@ class HashtagVector:
         return math.sqrt(sum(v * v for v in self.values.values()))
 
 
-def _from_weights(graph: StructuralGraph, weights, scheme: str) -> WeightedDigraph:
-    return WeightedDigraph(nodes=graph.nodes, weights=dict(weights), scheme=scheme)
-
-
 def structural_weights(graph: StructuralGraph) -> WeightedDigraph:
     """Weight 1 on every follow edge."""
-    return _from_weights(graph, {e: 1.0 for e in graph.edges}, "structural")
+    return WeightedDigraph(graph, np.ones(len(graph.src)), "structural")
 
 
 def transfer_entropy_weights(graph: StructuralGraph, activity: ActivityMatrix,
                              k: int, truncate: bool = True) -> WeightedDigraph:
     """Lag-k transfer entropy of the followee's series on the follower's."""
     table = pairwise_transfer_entropy(graph, activity, k, truncate=truncate)
-    return _from_weights(graph, table, f"te_lag{k}")
+    return WeightedDigraph(graph, table, f"te_lag{k}")
+
+
+def _interactions(graph: StructuralGraph, log: EventLog,
+                  kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices of the actor and the target of every ``kind`` event
+    between two graph nodes."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    pairs = [(index[ev.actor], index[ev.target]) for ev in log.events
+             if ev.kind == kind and ev.actor in index and ev.target in index]
+    codes = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return codes[:, 0], codes[:, 1]
+
+
+def _share(graph: StructuralGraph, followee: np.ndarray,
+           follower: np.ndarray) -> np.ndarray:
+    """Per edge (v, u): the share of u's events that pair u with v, where
+    event i pairs ``follower[i]`` with ``followee[i]``; 0 if u has none."""
+    pairs = Counter(zip(followee.tolist(), follower.tolist()))
+    count = [pairs[e] for e in zip(graph.src.tolist(), graph.dst.tolist())]
+    total = np.bincount(follower, minlength=len(graph.nodes))[graph.dst]
+    return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
 
 
 def retweet_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = retweets of u by f / all retweets f made (in-network)."""
-    nodes = graph.nodes
-    pair = Counter()
-    total_by = Counter()
-    for ev in log.events:
-        if ev.kind != "retweet" or ev.actor not in nodes or ev.target not in nodes:
-            continue
-        pair[(ev.target, ev.actor)] += 1  # edge followee -> follower
-        total_by[ev.actor] += 1
-    weights = {}
-    for v, u in graph.edges:
-        denom = total_by.get(u, 0)
-        weights[(v, u)] = pair.get((v, u), 0) / denom if denom else 0.0
-    return _from_weights(graph, weights, "retweet")
+    actor, target = _interactions(graph, log, "retweet")
+    return WeightedDigraph(graph, _share(graph, target, actor), "retweet")
 
 
 def mention_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = mentions of f by u / all mentions of f (in-network)."""
-    nodes = graph.nodes
-    pair = Counter()
-    total_of = Counter()
-    for ev in log.events:
-        if ev.kind != "mention" or ev.actor not in nodes or ev.target not in nodes:
-            continue
-        pair[(ev.actor, ev.target)] += 1  # edge followee -> follower
-        total_of[ev.target] += 1
-    weights = {}
-    for v, u in graph.edges:
-        denom = total_of.get(u, 0)
-        weights[(v, u)] = pair.get((v, u), 0) / denom if denom else 0.0
-    return _from_weights(graph, weights, "mention")
+    actor, target = _interactions(graph, log, "mention")
+    return WeightedDigraph(graph, _share(graph, actor, target), "mention")
 
 
 def mention_retweet_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """Arithmetic mean of the mention and retweet shares."""
     m = mention_share_weights(graph, log)
     r = retweet_share_weights(graph, log)
-    weights = {e: (m.weights[e] + r.weights[e]) / 2 for e in graph.edges}
-    return _from_weights(graph, weights, "mention_retweet")
+    return WeightedDigraph(graph, (m.values + r.values) / 2, "mention_retweet")
 
 
-def hashtag_tfidf_vectors(log: EventLog, nodes: frozenset[str] | set[str],
+def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
                           log_base: float = math.e) -> dict[str, HashtagVector]:
     """tf-idf hashtag vector per user: count(tag) * log(N / users_using_tag).
 
@@ -163,17 +178,17 @@ def hashtag_similarity_weights(graph: StructuralGraph,
                                vectors: dict[str, HashtagVector],
                                ) -> WeightedDigraph:
     """Cosine similarity of the endpoint users' hashtag vectors."""
-    weights = {}
-    for v, u in graph.edges:
-        weights[(v, u)] = cosine(vectors[v], vectors[u])
-    return _from_weights(graph, weights, "hashtag")
+    rows = [vectors[node] for node in graph.nodes]
+    values = [cosine(rows[v], rows[u])
+              for v, u in zip(graph.src.tolist(), graph.dst.tolist())]
+    return WeightedDigraph(graph, values, "hashtag")
 
 
 def orphans(wg: WeightedDigraph) -> frozenset[str]:
     """Nodes whose every incident edge carries zero weight."""
-    alive = set()
-    for (v, u), w in wg.weights.items():
-        if w > 0:
-            alive.add(v)
-            alive.add(u)
-    return frozenset(wg.nodes - alive)
+    positive = wg.values > 0
+    alive = np.zeros(len(wg.graph.nodes), dtype=bool)
+    alive[wg.graph.src[positive]] = True
+    alive[wg.graph.dst[positive]] = True
+    return frozenset(node for node, live in zip(wg.graph.nodes, alive.tolist())
+                     if not live)

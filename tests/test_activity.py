@@ -14,7 +14,7 @@ def log_of(*lines):
 
 def coarsen(log, user, bin_width=600, window=None, **kwargs):
     """The activity matrix of a graph holding ``user`` alone."""
-    graph = StructuralGraph(nodes=frozenset([user]), edges=frozenset())
+    graph = StructuralGraph.from_edges([], nodes=[user])
     return batch_coarsen(log, graph, bin_width, window, **kwargs)
 
 
@@ -110,7 +110,7 @@ class TestBatchCoarsen:
         assert activity.bits.shape == (3, series_length(600, 4000, 600))
 
     def test_empty_graph_gives_empty_map(self):
-        empty = StructuralGraph(nodes=frozenset(), edges=frozenset())
+        empty = StructuralGraph.from_edges([])
         activity = batch_coarsen(log_of(post("a", 0)), empty, 600)
         assert activity.nodes == () and activity.bits.shape == (0, 0)
 

@@ -1,11 +1,13 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qocd
 from qocd.cli import main, read_weight_table
 from qocd.ingest import read_follow_edges
 
@@ -168,6 +170,58 @@ def test_pipeline_end_to_end(dataset, tmp_path):
     assert set(manifest["inputs"]) == {"events.jsonl", "follows.csv"}
 
 
+def test_weight_table_quotes_ids_with_commas(tmp_path):
+    # ingest reads the follow CSV with the csv module, so "a,b" is one id;
+    # the weight table must quote it for detect to read the row back
+    (tmp_path / "events.jsonl").write_text(
+        '{"kind":"post","actor":"c","ts":0}\n')
+    (tmp_path / "follows.csv").write_text(
+        'followee,follower\n"a,b",c\nc,"a,b"\nc,d\nd,c\n')
+    ingested, wdir = tmp_path / "ingested", tmp_path / "w"
+    assert main(["ingest", "-i", str(tmp_path), "-o", str(ingested),
+                 "--threshold", "0"]) == 0
+    assert main(["weight", "--events", str(tmp_path / "events.jsonl"),
+                 "--graph", str(ingested / "graph.csv"),
+                 "--scheme", "structural", "-o", str(wdir)]) == 0
+    table = wdir / "weights_structural.csv"
+    assert table.read_text().splitlines()[1:3] == ['"a,b",c,1', 'c,"a,b",1']
+    assert read_weight_table(table).graph.edges == \
+        read_follow_edges(ingested / "graph.csv").edges
+    assert main(["detect", "--weights", str(table),
+                 "-o", str(tmp_path / "covering.txt")]) == 0
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_bytes_ignore_the_hash_seed(tmp_path):
+    # on this dataset, summing detector weights in set order gave another
+    # mention covering under PYTHONHASHSEED=0 than under 1
+    src = Path(qocd.__file__).resolve().parent.parent
+
+    path = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+
+    def run(hash_seed, *args):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "qocd.cli", *map(str, args)],
+                       env=env, check=True, capture_output=True)
+
+    data = tmp_path / "data"
+    run(0, "synth", "-o", data, "--seed", "4", "--nodes", "40",
+        "--communities", "4", "--bins", "200", "--mention-events", "6",
+        "--retweet-events", "6")
+    trees = []
+    for hash_seed in (0, 1):
+        out = tmp_path / f"out{hash_seed}"
+        run(hash_seed, "pipeline", "-i", data, "-o", out, "--threshold", "1",
+            "--max-lag", "1", "--featured-lag", "1")
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
 def test_usage_errors_exit_one():
     assert main(["--bogus"]) == 1
     assert main(["synth", "--no-such-flag", "x"]) == 1
@@ -218,6 +272,20 @@ def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
         "ingest": ["-i", str(dataset)],
     }.get(command[0], [])
     assert main(command + inputs + ["-o", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--nodes", "-5"],
+    ["--communities", "0"],
+    ["--bins", "0"],
+    ["--rho", "2"],
+    ["--p-in", "1.5"],
+])
+def test_synth_bad_config_exits_one_before_output(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["synth", "-o", str(out)] + flags) == 1
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

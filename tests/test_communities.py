@@ -10,9 +10,7 @@ from qocd.weighting import WeightedDigraph
 
 
 def wdg(edge_weights, nodes=()):
-    node_set = frozenset(nodes) | {v for e in edge_weights for v in e}
-    return WeightedDigraph(nodes=node_set, weights=dict(edge_weights),
-                           scheme="test")
+    return WeightedDigraph.from_mapping(dict(edge_weights), "test", nodes)
 
 
 def fitness(weights, members, alpha=1.0):
@@ -30,8 +28,9 @@ class TestCoveringType:
         c = Covering(universe=frozenset("abcde"),
                      communities=(frozenset("abc"), frozenset("cd")))
         assert c.singletons == ("e",)
-        assert c.membership_ids("c") == frozenset({0, 1})
-        assert c.membership_ids("e") == frozenset({"singleton:e"})
+        memberships = c.all_memberships()
+        assert memberships["c"] == frozenset({0, 1})
+        assert memberships["e"] == frozenset({"singleton:e"})
 
     def test_every_node_has_a_membership(self):
         c = Covering(universe=frozenset("abcd"),
@@ -197,6 +196,22 @@ class TestDetect:
         first = detect_communities(graph)
         second = detect_communities(graph)
         assert first.communities == second.communities
+
+    def test_covering_ignores_edge_insertion_order(self):
+        # the detector sums weights in edge order: with the weights inserted
+        # in the second order, a set-ordered sum lost the {b, c, d, g} group
+        rows = {("a", "e"): 2 / 3, ("a", "g"): 0.7, ("b", "c"): 0.1,
+                ("c", "d"): 1 / 3, ("c", "e"): 0.1, ("c", "f"): 0.1,
+                ("d", "g"): 2 / 3, ("f", "a"): 0.7, ("f", "g"): 0.2,
+                ("g", "b"): 0.4, ("g", "c"): 0.1}
+        order = "bc gc gb ae fa cf ag fg dg cd ce".split()
+        shuffled = {(p[0], p[1]): rows[(p[0], p[1])] for p in order}
+        assert list(shuffled) != sorted(rows) and shuffled == rows
+        first = detect_communities(wdg(dict(sorted(rows.items()))))
+        second = detect_communities(wdg(shuffled))
+        assert first.communities == second.communities
+        assert set(first.communities) == {frozenset("bcdg"),
+                                          frozenset("abcdefg")}
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ def test_structural_weights_are_all_one():
     wg = structural_weights(GRAPH)
     assert set(wg.weights.values()) == {1.0}
     assert sum(wg.weights.values()) == len(GRAPH.edges)
-    empty = StructuralGraph(nodes=frozenset(), edges=frozenset())
+    empty = StructuralGraph.from_edges([])
     assert structural_weights(empty).weights == {}
 
 
@@ -169,20 +169,18 @@ def test_weights_live_on_the_structural_edge_set():
                mention_retweet_weights(GRAPH, log),
                hashtag_similarity_weights(
                    GRAPH, hashtag_tfidf_vectors(log, GRAPH.nodes))):
-        assert set(wg.edges) == set(GRAPH.edges)
+        assert wg.graph.edges == GRAPH.edges
         assert all(0.0 <= w <= 1.0 for w in wg.weights.values())
 
 
 class TestOrphans:
     def test_all_zero_incident_weights(self):
-        wg = WeightedDigraph(nodes=frozenset({"a", "b", "c"}),
-                             weights={("a", "b"): 0.0, ("b", "c"): 0.5},
-                             scheme="t")
+        wg = WeightedDigraph.from_mapping({("a", "b"): 0.0, ("b", "c"): 0.5},
+                                          scheme="t")
         assert orphans(wg) == frozenset({"a"})
 
     def test_one_positive_edge_saves_both_endpoints(self):
-        wg = WeightedDigraph(nodes=frozenset({"a", "b"}),
-                             weights={("a", "b"): 0.1}, scheme="t")
+        wg = WeightedDigraph.from_mapping({("a", "b"): 0.1}, scheme="t")
         assert orphans(wg) == frozenset()
 
     def test_structural_weighting_has_no_orphans(self):
@@ -191,5 +189,4 @@ class TestOrphans:
 
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
-        WeightedDigraph(nodes=frozenset({"a", "b"}),
-                        weights={("a", "b"): -0.1}, scheme="bad")
+        WeightedDigraph.from_mapping({("a", "b"): -0.1}, scheme="bad")
