@@ -27,7 +27,7 @@ from .communities import (Covering, FitnessParams, covering_stats,
 from .compare import nmi_matrix
 from .edgestats import (ConditionalWeightReport, EdgeClass, conditional_weights,
                         partition_edges, size_ccdf)
-from .ingest import (combine_reports, count_information_events,
+from .ingest import (check_ids, combine_reports, count_information_events,
                      filter_active, giant_scc, read_events, read_follow_edges,
                      write_follow_edges)
 from .synth import (SynthConfig, config_to_json, generate, write_events_jsonl,
@@ -99,7 +99,9 @@ def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
             if len(row) != 3:
                 raise ValueError(f"bad weight row in {path}: {row!r}")
             weights[(row[0], row[1])] = float(row[2])
-    return WeightedDigraph.from_mapping(weights, scheme)
+    wg = WeightedDigraph.from_mapping(weights, scheme)
+    check_ids(wg.graph.nodes)
+    return wg
 
 
 def _sha256(path: Path) -> str:
@@ -240,7 +242,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_coverings(paths, universe: frozenset[str] | None,
+def _read_coverings(paths, universe: tuple[str, ...] | None,
                     ) -> dict[str, Covering]:
     """Covering files keyed by label, the file stem without ``covering_``.
 
@@ -251,8 +253,7 @@ def _read_coverings(paths, universe: frozenset[str] | None,
         label = _covering_label(path)
         if label in coverings:
             raise ValueError(f"duplicate covering label {label!r}")
-        coverings[label] = read_covering(
-            path, _named_nodes(path) if universe is None else universe)
+        coverings[label] = read_covering(path, universe)
     return coverings
 
 
@@ -260,20 +261,9 @@ def _covering_label(path: Path) -> str:
     return path.stem.removeprefix("covering_")
 
 
-def _named_nodes(path: Path) -> frozenset[str]:
-    """Universe of a covering file read without a graph: the ids it names."""
-    members = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                members.update(line.split())
-    return frozenset(members)
-
-
 def cmd_compare(args) -> int:
     graph = read_follow_edges(Path(args.graph))
-    coverings = _read_coverings(args.coverings, frozenset(graph.nodes))
+    coverings = _read_coverings(args.coverings, graph.nodes)
     labels, matrix = nmi_matrix(coverings)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -349,8 +339,8 @@ def _write_report(coverings: dict[str, Covering], tables, out: Path) -> None:
 
 
 def cmd_report(args) -> int:
-    universe = (frozenset(read_follow_edges(Path(args.graph)).nodes)
-                if args.graph else None)
+    universe = (read_follow_edges(Path(args.graph)).nodes if args.graph
+                else None)
     coverings = _read_coverings(sorted(args.coverings), universe)
     tables = [read_weight_table(Path(p)) for p in sorted(args.weights)]
     _write_report(coverings, tables, Path(args.output))

@@ -1,7 +1,7 @@
 """Coverings (overlapping communities plus singletons) and their detection.
 
 A covering assigns every node to at least one community; nodes in no
-multi-member community get a synthetic singleton membership so that
+multi-member community get a singleton row of their own, so that
 membership is total. The built-in detector grows communities greedily from
 high-strength seeds by optimizing a local weight-based fitness; it handles
 edge weight, edge direction (through total incident weight), and overlap,
@@ -12,7 +12,10 @@ plain text files instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
 
 from .weighting import WeightedDigraph
 
@@ -22,38 +25,57 @@ class Covering:
     """Possibly-overlapping communities over a universe of nodes.
 
     Listed communities have at least two members; every node outside all of
-    them is an implicit singleton. Membership ids are the community's index
-    for listed communities and ``singleton:<node>`` for singletons.
+    them is an implicit singleton. ``universe`` is stored as the sorted,
+    unique id tuple, like ``StructuralGraph.nodes``.
+
+    The membership rows are the communities in order, then the singletons
+    in universe order. Three read-only int64 arrays, derived once and left
+    out of ``==``, index them: ``sizes`` holds each row's member count, and
+    node ``universe[v]`` lies in rows ``rows[indptr[v]:indptr[v + 1]]``, in
+    ascending order.
     """
 
-    universe: frozenset[str]
+    universe: tuple[str, ...]
     communities: tuple[frozenset[str], ...]
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        universe = tuple(sorted(set(self.universe)))
+        index = {node: i for i, node in enumerate(universe)}
         seen = set()
         for comm in self.communities:
             if len(comm) < 2:
                 raise ValueError("listed communities need at least two members")
-            if not comm <= self.universe:
+            if not comm <= index.keys():
                 raise ValueError("community member outside the universe")
             if comm in seen:
                 raise ValueError("duplicate community")
             seen.add(comm)
+        members = [[index[node] for node in comm] for comm in self.communities]
+        covered = set().union(*self.communities)
+        members += [[v] for v, node in enumerate(universe) if node not in covered]
+        sizes = np.array([len(m) for m in members], dtype=np.int64)
+        nodes = np.fromiter((v for m in members for v in m), dtype=np.int64,
+                            count=int(sizes.sum()))
+        row_ids = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
+        indptr = np.zeros(len(universe) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=len(universe)), out=indptr[1:])
+        rows = row_ids[np.argsort(nodes, kind="stable")]
+        for array in (sizes, indptr, rows):
+            array.flags.writeable = False
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def singletons(self) -> tuple[str, ...]:
-        covered = set().union(*self.communities) if self.communities else set()
-        return tuple(sorted(self.universe - covered))
-
-    def all_memberships(self) -> dict[str, frozenset]:
-        out = {node: set() for node in self.universe}
-        for i, comm in enumerate(self.communities):
-            for node in comm:
-                out[node].add(i)
-        return {
-            node: frozenset(ids) if ids else frozenset({f"singleton:{node}"})
-            for node, ids in out.items()
-        }
+        """The nodes in no listed community, in universe order."""
+        first_row = self.rows[self.indptr[:-1]]
+        alone = np.flatnonzero(first_row >= len(self.communities))
+        return tuple(self.universe[v] for v in alone.tolist())
 
 
 @dataclass(frozen=True)
@@ -68,31 +90,28 @@ class FitnessParams:
             raise ValueError("alpha must be positive")
 
 
-def read_covering(path, universe: frozenset[str] | set[str]) -> Covering:
+def read_covering(path, universe: Iterable[str] | None = None) -> Covering:
     """Read a covering file: one community per line, whitespace-separated ids.
 
     ``#``-prefixed lines are comments (external tools often emit module
     headers that way). Single-node lines denote explicit singletons and fold
-    into the implicit ones; duplicate communities are dropped. Any id outside
-    the universe is an error.
+    into the implicit ones; duplicate communities are dropped. Without a
+    universe, the universe is the ids the file names; with one, any id
+    outside it is an error.
     """
-    universe = frozenset(universe)
-    communities = []
-    seen = set()
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            members = frozenset(line.split())
-            stray = members - universe
-            if stray:
-                raise ValueError(
-                    f"covering node {sorted(stray)[0]!r} not in the universe")
-            if len(members) < 2 or members in seen:
-                continue
-            seen.add(members)
-            communities.append(members)
+            if line and not line.startswith("#"):
+                lines.append(frozenset(line.split()))
+    named = frozenset().union(*lines)
+    if universe is None:
+        universe = named
+    stray = named.difference(universe)
+    if stray:
+        raise ValueError(f"covering node {min(stray)!r} not in the universe")
+    communities = dict.fromkeys(m for m in lines if len(m) >= 2)
     return Covering(universe=universe, communities=tuple(communities))
 
 
@@ -105,11 +124,11 @@ def write_covering(covering: Covering, path) -> None:
 
 def covering_stats(covering: Covering) -> dict:
     """Community count, singleton count, and sorted community sizes."""
-    sizes = sorted(len(c) for c in covering.communities)
+    count = len(covering.communities)
     return {
-        "communities": len(covering.communities),
-        "singletons": len(covering.singletons),
-        "sizes": sizes,
+        "communities": count,
+        "singletons": len(covering.sizes) - count,
+        "sizes": sorted(covering.sizes[:count].tolist()),
     }
 
 
@@ -197,7 +216,7 @@ def detect_communities(wg: WeightedDigraph,
     end at one node become singletons. The procedure is deterministic.
     """
     adjacency, strength = _positive_adjacency(wg)
-    universe = frozenset(wg.graph.nodes)
+    universe = wg.graph.nodes
     if not any(s > 0 for s in strength.values()):
         warnings.warn("no positive-weight edges; covering is all singletons")
         return Covering(universe=universe, communities=())

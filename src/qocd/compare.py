@@ -9,7 +9,7 @@ conditional entropy taken in both directions: 1 exactly for identical
 coverings up to label order, 0 when neither side tells us anything about the
 other.
 
-Rows are never materialized. A covering becomes a node -> row incidence, and
+Rows are never materialized. Each covering carries a node -> row incidence;
 only the row pairs sharing a node get their overlap counted, at a cost of
 sum over nodes v of |M_x(v)| * |M_y(v)|. A pair of disjoint rows has a
 conditional term that depends on the two row sizes alone, so it is evaluated
@@ -18,43 +18,12 @@ once per X row and distinct Y row size. Singletons thus cost O(1) each.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .communities import Covering
 
 
-class _Incidence(NamedTuple):
-    """Node -> row incidence of a covering, rows in membership order."""
-
-    universe: frozenset[str]
-    sizes: np.ndarray   # int64 member count per row
-    indptr: np.ndarray  # rows of node v are rows[indptr[v]:indptr[v + 1]]
-    rows: np.ndarray    # int64 row ids grouped by node, in sorted node order
-    h_size: np.ndarray  # _h(size, n) per row
-    h_row: np.ndarray   # marginal entropy of each row's membership vector
-
-
-def _incidence(covering: Covering) -> _Incidence:
-    """Rows are the communities in order, then the singletons, sorted."""
-    n = len(covering.universe)
-    index = {node: i for i, node in enumerate(sorted(covering.universe))}
-    members = [[index[node] for node in comm] for comm in covering.communities]
-    members += [[index[node]] for node in covering.singletons]
-    sizes = np.array([len(m) for m in members], dtype=np.int64)
-    nodes = np.fromiter((v for m in members for v in m), dtype=np.int64,
-                        count=int(sizes.sum()))
-    row_ids = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
-    order = np.argsort(nodes, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
-    h_size = _h(sizes, n)
-    return _Incidence(covering.universe, sizes, indptr, row_ids[order],
-                      h_size, h_size + _h(n - sizes, n))
-
-
-def _overlaps(x: _Incidence, y: _Incidence,
+def _overlaps(x: Covering, y: Covering,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X row, Y row, shared node count) for every pair of rows that meet."""
     per_node_x = np.diff(x.indptr)
@@ -87,7 +56,7 @@ def _cell_terms(h11, h10, h01, h00, hy) -> np.ndarray:
     return np.where(admissible, h_cond, np.inf)
 
 
-def _mean_conditional_terms(x: _Incidence, y: _Incidence, pair_x: np.ndarray,
+def _mean_conditional_terms(x: Covering, y: Covering, pair_x: np.ndarray,
                             pair_y: np.ndarray, h11, h10, h01, h00) -> float:
     """Average normalized conditional entropy of X rows given Y rows.
 
@@ -95,9 +64,12 @@ def _mean_conditional_terms(x: _Incidence, y: _Incidence, pair_x: np.ndarray,
     ``(pair_x, pair_y)``, with 1 meaning membership in the X row first.
     """
     n = len(x.universe)
+    # per row: h(size), and the marginal entropy of its membership vector
+    hx_size, hy_size = _h(x.sizes, n), _h(y.sizes, n)
+    hx, hy = hx_size + _h(n - x.sizes, n), hy_size + _h(n - y.sizes, n)
     best = np.full(len(x.sizes), np.inf)
     np.minimum.at(best, pair_x,
-                  _cell_terms(h11, h10, h01, h00, y.h_row[pair_y]))
+                  _cell_terms(h11, h10, h01, h00, hy[pair_y]))
     # disjoint pairs: n11 = 0, so the term depends on (sx, sy) alone; a
     # size is skipped for an X row that meets every Y row of that size
     size_y, first, size_of_y, count = np.unique(
@@ -105,18 +77,18 @@ def _mean_conditional_terms(x: _Incidence, y: _Incidence, pair_x: np.ndarray,
     met = np.bincount(pair_x * len(size_y) + size_of_y[pair_y],
                       minlength=len(x.sizes) * len(size_y))
     all_met = met.reshape(len(x.sizes), len(size_y)) == count
-    disjoint = _cell_terms(0.0, x.h_size[:, None], y.h_size[first][None, :],
+    disjoint = _cell_terms(0.0, hx_size[:, None], hy_size[first][None, :],
                            _h(n - x.sizes[:, None] - size_y[None, :], n),
-                           y.h_row[first][None, :])
+                           hy[first][None, :])
     best = np.minimum(best, np.where(all_met, np.inf, disjoint).min(axis=1))
-    hx = x.h_row
     term = np.where(np.isfinite(best), best, hx)
     denom = np.where(hx > 0, hx, 1.0)
     normalized = np.where(hx > 0, np.minimum(term / denom, 1.0), 0.0)
     return float(normalized.mean())
 
 
-def _nmi(x: _Incidence, y: _Incidence) -> float:
+def nmi(x: Covering, y: Covering) -> float:
+    """Normalized mutual information between two coverings of one universe."""
     if x.universe != y.universe:
         raise ValueError("coverings must share the same universe")
     if not x.universe:
@@ -133,18 +105,13 @@ def _nmi(x: _Incidence, y: _Incidence) -> float:
         + _mean_conditional_terms(y, x, pair_y, pair_x, h11, h01, h10, h00))
 
 
-def nmi(c1: Covering, c2: Covering) -> float:
-    """Normalized mutual information between two coverings of one universe."""
-    return _nmi(_incidence(c1), _incidence(c2))
-
-
 def nmi_matrix(coverings: dict[str, Covering]) -> tuple[list[str], np.ndarray]:
     """Symmetric NMI matrix over a labeled family of coverings."""
     labels = sorted(coverings)
-    incidences = [_incidence(coverings[label]) for label in labels]
     size = len(labels)
     matrix = np.eye(size)  # nmi(c, c) is exactly 1.0 for every covering
     for i in range(size):
         for j in range(i + 1, size):
-            matrix[i, j] = matrix[j, i] = _nmi(incidences[i], incidences[j])
+            matrix[i, j] = matrix[j, i] = nmi(coverings[labels[i]],
+                                              coverings[labels[j]])
     return labels, matrix

@@ -27,7 +27,7 @@ class EdgeClass(enum.Enum):
 
 
 def classify_edge(mu: frozenset, mf: frozenset) -> EdgeClass:
-    """Classify an edge from its endpoints' membership-id sets."""
+    """Classify an edge from its endpoints' membership-row sets."""
     if not mu or not mf:
         raise ValueError("membership sets must be non-empty")
     if not mu & mf:
@@ -41,12 +41,14 @@ def partition_edges(wg: WeightedDigraph, covering: Covering,
                     ) -> tuple[EdgeClass, ...]:
     """Class of every edge of the graph under the covering, in edge order."""
     graph = wg.graph
-    memberships = covering.all_memberships()
-    missing = [node for node in graph.nodes if node not in memberships]
+    index = {node: v for v, node in enumerate(covering.universe)}
+    missing = [node for node in graph.nodes if node not in index]
     if missing:
         raise ValueError(f"node {missing[0]!r} has no covering membership")
-    rows = [memberships[node] for node in graph.nodes]
-    return tuple(classify_edge(rows[v], rows[u])
+    indptr, rows = covering.indptr.tolist(), covering.rows.tolist()
+    memberships = [frozenset(rows[indptr[v]:indptr[v + 1]])
+                   for v in map(index.__getitem__, graph.nodes)]
+    return tuple(classify_edge(memberships[v], memberships[u])
                  for v, u in zip(graph.src.tolist(), graph.dst.tolist()))
 
 
@@ -141,5 +143,5 @@ def conditional_weights(wg: WeightedDigraph, classes: Sequence[EdgeClass],
 
 def size_ccdf(covering: Covering) -> list[tuple[int, float]]:
     """(s, fraction of non-singleton communities larger than s) per size."""
-    sizes = [len(c) for c in covering.communities]
+    sizes = covering.sizes[:len(covering.communities)]
     return [(int(s), p) for s, p in weight_ccdf(sizes)]

@@ -224,10 +224,21 @@ def read_events(path) -> EventLog:
         return parse_events(fh)
 
 
+def check_ids(nodes: Iterable[str]) -> None:
+    """Raise ValueError on the first id a covering file cannot hold: one
+    that ``str.split`` does not return whole (covering lines split on
+    whitespace) or that starts with ``#`` (a comment line)."""
+    for node in nodes:
+        if node.startswith("#") or node.split() != [node]:
+            raise ValueError(f"node id {node!r} is empty, starts with '#' or "
+                             "contains whitespace")
+
+
 def read_follow_edges(path) -> StructuralGraph:
     """Read a ``followee,follower`` CSV into a StructuralGraph.
 
-    Rows are deduplicated; self-follow rows and short rows are ignored.
+    Rows are deduplicated; self-follow rows and short rows are ignored. Ids
+    are stripped and must pass :func:`check_ids`.
     """
     edges = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -242,7 +253,9 @@ def read_follow_edges(path) -> StructuralGraph:
             if not followee or not follower or followee == follower:
                 continue
             edges.append((followee, follower))
-    return StructuralGraph.from_edges(edges)
+    graph = StructuralGraph.from_edges(edges)
+    check_ids(graph.nodes)
+    return graph
 
 
 def write_follow_edges(graph: StructuralGraph, path) -> None:

@@ -208,8 +208,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
         for t, s in zip(*np.nonzero(influence_intra | influence_cross))
     }
     truth = PlantedTruth(
-        covering=Covering(universe=frozenset(ids),
-                          communities=tuple(communities)),
+        covering=Covering(universe=ids, communities=tuple(communities)),
         influence_edges=frozenset(influence_edges),
     )
     return log, graph, truth

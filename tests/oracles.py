@@ -206,6 +206,32 @@ def dense_nmi(c1, c2) -> float:
                         + _dense_mean_conditional_terms(y_rows, x_rows))
 
 
+def loop_partition_edges(wg, covering) -> list[str]:
+    """Class ('inter', 'intra' or 'mixed') of each edge of ``wg``, in edge
+    order, from membership-id sets: a node's community indices, or
+    ``singleton:<node>`` for a node in no community."""
+    memberships = {node: set() for node in covering.universe}
+    for i, comm in enumerate(covering.communities):
+        for node in comm:
+            memberships[node].add(i)
+    for node, ids in memberships.items():
+        if not ids:
+            ids.add(f"singleton:{node}")
+    classes = []
+    for v, u in wg.graph.edges:
+        for node in (v, u):
+            if node not in memberships:
+                raise ValueError(f"node {node!r} has no covering membership")
+        mu, mf = memberships[v], memberships[u]
+        if not mu & mf:
+            classes.append("inter")
+        elif mu == mf:
+            classes.append("intra")
+        else:
+            classes.append("mixed")
+    return classes
+
+
 def loop_weight_ccdf(values) -> tuple:
     """(w, fraction of values strictly greater than w) per distinct value."""
     values = [float(v) for v in values]

@@ -191,6 +191,34 @@ def test_weight_table_quotes_ids_with_commas(tmp_path):
                  "-o", str(tmp_path / "covering.txt")]) == 0
 
 
+@pytest.mark.parametrize("bad", ["#x", "a b"])
+def test_ingest_rejects_ids_a_covering_file_cannot_hold(tmp_path, capsys, bad):
+    # a covering line "#x b c" would read back as a comment, and "a b" as
+    # two ids, so ingest stops both before it writes anything
+    ids = [bad, "b", "c"]
+    (tmp_path / "events.jsonl").write_text("")
+    (tmp_path / "follows.csv").write_text(
+        "followee,follower\n"
+        + "".join(f"{v},{u}\n" for v in ids for u in ids if v != u),
+        encoding="utf-8")
+    out = tmp_path / "ingested"
+    assert main(["ingest", "-i", str(tmp_path), "-o", str(out),
+                 "--threshold", "0"]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not (out / "graph.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["#x", ""])
+def test_weight_table_rejects_ids_a_covering_file_cannot_hold(tmp_path, capsys,
+                                                              bad):
+    table = tmp_path / "weights_t.csv"
+    table.write_text(f"source,target,weight\n{bad},b,1\nb,{bad},1\n")
+    assert main(["detect", "--weights", str(table),
+                 "-o", str(tmp_path / "covering.txt")]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not (tmp_path / "covering.txt").exists()
+
+
 def _tree_bytes(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -311,6 +339,25 @@ def test_report_reads_the_graph_once(ingested, tmp_path, monkeypatch):
     assert main(["report", *paths, "-o", str(tmp_path / "no_graph")]) == 0
     stats = (tmp_path / "no_graph" / "covering_stats.csv").read_text()
     assert stats.splitlines()[1:] == ["c0,1,0", "c1,1,0", "c2,1,0"]
+
+
+def test_report_without_graph_reads_each_covering_once(ingested, tmp_path,
+                                                      monkeypatch):
+    import builtins
+
+    names = sorted(read_follow_edges(ingested / "graph.csv").nodes)
+    paths = []
+    for i in range(3):
+        path = tmp_path / f"covering_c{i}.txt"
+        path.write_text(" ".join(names[i:i + 4]) + "\n")
+        paths.append(str(path))
+    opened = []
+    real = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs:
+                        opened.append(str(file)) or real(file, *args, **kwargs))
+    assert main(["report", *paths, "-o", str(tmp_path / "report")]) == 0
+    monkeypatch.undo()
+    assert sorted(p for p in opened if p in paths) == paths
 
 
 def test_report_rejects_duplicate_covering_labels(ingested, tmp_path, capsys):

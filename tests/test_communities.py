@@ -27,17 +27,23 @@ class TestCoveringType:
     def test_singletons_are_the_uncovered_nodes(self):
         c = Covering(universe=frozenset("abcde"),
                      communities=(frozenset("abc"), frozenset("cd")))
+        assert c.universe == tuple("abcde")
         assert c.singletons == ("e",)
-        memberships = c.all_memberships()
-        assert memberships["c"] == frozenset({0, 1})
-        assert memberships["e"] == frozenset({"singleton:e"})
+        # rows: the two communities, then e's singleton row
+        assert c.sizes.tolist() == [3, 2, 1]
+        assert c.rows[c.indptr[2]:c.indptr[3]].tolist() == [0, 1]  # c
+        assert c.rows[c.indptr[4]:c.indptr[5]].tolist() == [2]  # e
+        with pytest.raises(ValueError):
+            c.rows[0] = 1
+        assert c == Covering(universe=list("edcba"),
+                             communities=c.communities)
 
     def test_every_node_has_a_membership(self):
         c = Covering(universe=frozenset("abcd"),
                      communities=(frozenset("ab"),))
-        memberships = c.all_memberships()
-        assert set(memberships) == set("abcd")
-        assert all(len(m) >= 1 for m in memberships.values())
+        assert c.sizes.tolist() == [2, 1, 1]
+        assert c.indptr.tolist() == [0, 1, 2, 3, 4]  # one row per node
+        assert c.rows.tolist() == [0, 0, 1, 2]
 
     def test_rejects_tiny_and_duplicate_and_stray_communities(self):
         with pytest.raises(ValueError):

@@ -198,7 +198,7 @@ class TestSparseNmiAgainstDenseOracle:
         # that row has zero entropy (term 0), so the NMI is exactly 0.5
         x = singletons(8000)
         y = x if other == "singletons" else Covering(
-            universe=x.universe, communities=(x.universe,))
+            universe=x.universe, communities=(frozenset(x.universe),))
         start = time.perf_counter()
         value = nmi(x, y)
         assert time.perf_counter() - start < 1.0

@@ -7,7 +7,7 @@ from qocd.edgestats import (EdgeClass, classify_edge, conditional_weights,
                             weight_ccdf)
 from qocd.weighting import WeightedDigraph
 
-from oracles import loop_weight_ccdf
+from oracles import loop_partition_edges, loop_weight_ccdf
 
 
 def cov(universe, *groups):
@@ -63,8 +63,30 @@ class TestPartition:
 
     def test_node_without_membership_is_an_error(self):
         wg = WeightedDigraph.from_mapping({("a", "b"): 1.0}, "t")
-        with pytest.raises(ValueError, match="'b'"):
-            partition_edges(wg, cov("a"))
+        for partition in (partition_edges, loop_partition_edges):
+            with pytest.raises(ValueError,
+                               match="'b' has no covering membership"):
+                partition(wg, cov("a"))
+
+    def test_equals_the_membership_set_oracle(self):
+        # overlapping, all-singleton, and covering universes larger than
+        # the graph's node set
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            nodes = [f"n{i:02d}" for i in range(int(rng.integers(2, 12)))]
+            extra = rng.choice(12, size=int(rng.integers(0, 3)), replace=False)
+            universe = nodes + [f"n{i:02d}x" for i in extra]  # interleaved
+            weights = {(a, b): 1.0 for a in nodes for b in nodes
+                       if a != b and rng.random() < 0.4}
+            wg = WeightedDigraph.from_mapping(weights, "t", nodes)
+            groups = set()
+            for _ in range(int(rng.integers(0, 4))):
+                size = int(rng.integers(2, len(universe) + 1))
+                groups.add(frozenset(universe[i] for i in rng.choice(
+                    len(universe), size=size, replace=False)))
+            covering = cov(universe, *sorted(groups, key=sorted))
+            classes = [cls.value for cls in partition_edges(wg, covering)]
+            assert classes == loop_partition_edges(wg, covering)
 
     def test_totality_and_exclusivity(self):
         rng = np.random.default_rng(41)

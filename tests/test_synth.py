@@ -9,6 +9,13 @@ from qocd.weighting import structural_weights, transfer_entropy_weights
 
 from oracles import brute_force_te
 
+
+def memberships(c) -> dict[str, set[int]]:
+    """Node -> the rows of covering ``c`` it lies in, from the incidence."""
+    return {node: set(c.rows[c.indptr[v]:c.indptr[v + 1]].tolist())
+            for v, node in enumerate(c.universe)}
+
+
 SMALL = dict(nodes=40, communities=4, bins=400, p_in=0.5, p_out=0.05,
              rho=0.1, epsilon=0.3, mention_events=6, retweet_events=6)
 
@@ -26,7 +33,7 @@ def test_determinism_under_fixed_seed():
 
 def test_planted_covering_is_valid_and_sized():
     _, graph, truth = generate(SynthConfig(seed=1, **SMALL))
-    assert truth.covering.universe == frozenset(graph.nodes)
+    assert truth.covering.universe == graph.nodes
     assert len(truth.covering.communities) == 4
     assert sum(len(c) for c in truth.covering.communities) == 40
 
@@ -34,12 +41,10 @@ def test_planted_covering_is_valid_and_sized():
 def test_overlap_fraction_creates_shared_members():
     cfg = SynthConfig(seed=2, overlap_fraction=0.2, **SMALL)
     _, _, truth = generate(cfg)
-    memberships = truth.covering.all_memberships()
-    doubly = [n for n, m in memberships.items() if len(m) > 1]
+    doubly = [n for n, m in memberships(truth.covering).items() if len(m) > 1]
     assert doubly  # some nodes carry two memberships
     disjoint = generate(SynthConfig(seed=2, **SMALL))[2]
-    assert all(len(m) == 1
-               for m in disjoint.covering.all_memberships().values())
+    assert all(len(m) == 1 for m in memberships(disjoint.covering).values())
 
 
 def test_influence_edges_are_structural_edges():
@@ -113,7 +118,7 @@ def test_cross_influencers_follow_other_communities():
                       p_in=0.4, p_out=0.01, rho=0.05, epsilon=0.1,
                       cross_influencers=3, cross_span=2, cross_epsilon=0.5)
     _, graph, truth = generate(cfg)
-    member_sets = truth.covering.all_memberships()
+    member_sets = memberships(truth.covering)
     cross = [(s, t) for s, t in truth.influence_edges
              if not member_sets[s] & member_sets[t]]
     assert cross
