@@ -5,17 +5,21 @@ count each user's incoming and outgoing information events, drop users below
 the activity threshold, and keep the giant strongly connected component.
 """
 
+import numpy as np
+
 from qocd import (SynthConfig, count_information_events, filter_active,
                   generate, giant_scc)
+from qocd.ingest import EVENT_KINDS
 
 log, graph, truth = generate(SynthConfig(
     nodes=60, communities=4, bins=400, p_in=0.4, p_out=0.05,
     rho=0.1, epsilon=0.3, mention_events=9, retweet_events=9, seed=42))
 print(f"raw network: {len(graph.nodes)} users, {len(graph.edges)} follow edges")
-print(f"event log: {len(log)} events "
-      f"({sum(1 for e in log if e.kind == 'post')} posts, "
-      f"{sum(1 for e in log if e.kind == 'mention')} mentions, "
-      f"{sum(1 for e in log if e.kind == 'retweet')} retweets)")
+# the log is columnar: log.kind holds one code per event into EVENT_KINDS
+per_kind = np.bincount(log.kind, minlength=len(EVENT_KINDS)).tolist()
+kinds = dict(zip(EVENT_KINDS, per_kind))
+print(f"event log: {len(log)} events ({kinds['post']} posts, "
+      f"{kinds['mention']} mentions, {kinds['retweet']} retweets)")
 
 # an information event is an in-network mention or retweet; each one is
 # outgoing for the user information left and incoming for the receiver

@@ -8,8 +8,9 @@ feeds the greedy detector; coverings are scored against the planted truth.
 
 from qocd import (FitnessParams, SynthConfig, batch_coarsen, covering_stats,
                   detect_communities, generate, hashtag_similarity_weights,
-                  hashtag_tfidf_vectors, mention_retweet_weights, nmi,
-                  orphans, structural_weights, transfer_entropy_weights)
+                  hashtag_tfidf_vectors, mention_retweet_weights,
+                  mention_share_weights, nmi, orphans, retweet_share_weights,
+                  structural_weights, transfer_entropy_weights)
 
 cfg = SynthConfig(nodes=80, communities=4, bins=4000, p_in=0.35, p_out=0.03,
                   rho=0.05, epsilon=0.4, overlap_fraction=0.1, seed=21)
@@ -19,7 +20,8 @@ activity = batch_coarsen(log, graph, bin_width=cfg.bin_width)
 weightings = {
     "structural": structural_weights(graph),
     "activity (TE lag 1)": transfer_entropy_weights(graph, activity, 1),
-    "interaction (MR)": mention_retweet_weights(graph, log),
+    "interaction (MR)": mention_retweet_weights(
+        mention_share_weights(graph, log), retweet_share_weights(graph, log)),
     "topic (hashtags)": hashtag_similarity_weights(
         graph, hashtag_tfidf_vectors(log, graph.nodes)),
 }

@@ -8,8 +8,9 @@ including the size CCDF of the detected communities.
 
 from qocd import (EdgeClass, SynthConfig, batch_coarsen, conditional_weights,
                   detect_communities, generate, hashtag_similarity_weights,
-                  hashtag_tfidf_vectors, mention_retweet_weights, nmi_matrix,
-                  partition_edges, size_ccdf, structural_weights,
+                  hashtag_tfidf_vectors, mention_retweet_weights,
+                  mention_share_weights, nmi_matrix, partition_edges,
+                  retweet_share_weights, size_ccdf, structural_weights,
                   transfer_entropy_weights)
 
 cfg = SynthConfig(nodes=80, communities=4, bins=2000, p_in=0.35, p_out=0.05,
@@ -21,7 +22,8 @@ activity = batch_coarsen(log, graph, bin_width=cfg.bin_width)
 
 tables = {
     "structural": structural_weights(graph),
-    "mention_retweet": mention_retweet_weights(graph, log),
+    "mention_retweet": mention_retweet_weights(
+        mention_share_weights(graph, log), retweet_share_weights(graph, log)),
     "hashtag": hashtag_similarity_weights(
         graph, hashtag_tfidf_vectors(log, graph.nodes)),
 }

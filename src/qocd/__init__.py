@@ -15,7 +15,7 @@ from .edgestats import (EdgeClass, classify_edge, conditional_weights,
                         median_low, partition_edges, size_ccdf)
 from .infotheory import (EntropyEstimate, pairwise_transfer_entropy,
                          plugin_entropy, transfer_entropy)
-from .ingest import (Event, EventLog, FilterReport, InfoEventCounts,
+from .ingest import (EventLog, FilterReport, InfoEventCounts,
                      StructuralGraph, count_information_events, filter_active,
                      giant_scc, parse_events, read_events, read_follow_edges,
                      write_follow_edges)
@@ -27,8 +27,8 @@ from .weighting import (HashtagVector, WeightedDigraph, cosine,
                         transfer_entropy_weights)
 
 __all__ = [
-    "ActivityMatrix", "Covering", "EdgeClass", "EntropyEstimate", "Event",
-    "EventLog", "FilterReport", "FitnessParams", "HashtagVector",
+    "ActivityMatrix", "Covering", "EdgeClass", "EntropyEstimate", "EventLog",
+    "FilterReport", "FitnessParams", "HashtagVector",
     "InfoEventCounts", "PlantedTruth", "StructuralGraph", "SynthConfig",
     "WeightedDigraph", "batch_coarsen", "classify_edge", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import EventLog, StructuralGraph
+from .ingest import POST, RETWEET, EventLog, StructuralGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +53,9 @@ class ActivityMatrix:
 
 def default_window(log: EventLog, bin_width: int) -> tuple[int, int]:
     """Observation window for a log: [min ts floored to a bin, max ts]."""
-    if not log.events:
+    if not len(log):
         raise ValueError("cannot infer a window from an empty log")
-    ts = [ev.ts for ev in log.events]
-    origin = (min(ts) // bin_width) * bin_width
-    return origin, max(ts)
+    return (int(log.ts.min()) // bin_width) * bin_width, int(log.ts.max())
 
 
 def series_length(origin: int, end: int, bin_width: int) -> int:
@@ -82,16 +80,13 @@ def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
     origin, end = window if window is not None else default_window(log, bin_width)
     if origin > end:
         raise ValueError("window origin must not exceed its end")
-    kinds = ("post", "retweet") if retweets_count_as_activity else ("post",)
+    kinds = [POST, RETWEET] if retweets_count_as_activity else [POST]
     bits = np.zeros((len(nodes), series_length(origin, end, bin_width)),
                     dtype=np.uint8)
-    rows = dict(zip(nodes, bits))  # views into bits
-    for ev in log.events:
-        if ev.kind not in kinds or ev.actor not in rows:
-            continue
-        if ev.ts < origin or ev.ts > end:
-            continue
-        rows[ev.actor][(ev.ts - origin) // bin_width] = 1
+    row, _ = log.positions(nodes)
+    keep = ((row >= 0) & np.isin(log.kind, kinds)
+            & (log.ts >= origin) & (log.ts <= end))
+    bits[row[keep], (log.ts[keep] - origin) // bin_width] = 1
     return ActivityMatrix(nodes, bits, bin_width, origin)
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy
@@ -27,6 +28,7 @@ from .communities import (Covering, FitnessParams, covering_stats,
 from .compare import nmi_matrix
 from .edgestats import (ConditionalWeightReport, EdgeClass, conditional_weights,
                         partition_edges, size_ccdf)
+from .infotheory import MAX_LAG
 from .ingest import (check_ids, combine_reports, count_information_events,
                      filter_active, giant_scc, read_events, read_follow_edges,
                      write_follow_edges)
@@ -50,23 +52,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _bounded(convert, low, strict: bool = False):
+def _bounded(convert, low, strict: bool = False, high=math.inf):
     """An argparse type: ``convert(text)``, at least ``low`` (or above it,
-    if ``strict``), so a bad flag exits 1 before any stage runs."""
+    if ``strict``) and at most ``high``, so a bad flag exits 1 before any
+    stage runs."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not (value > low if strict else value >= low):
+        if not (value > low if strict else value >= low) or value > high:
+            upper = f" and <= {high}" if high < math.inf else ""
             raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {value}")
+                f"must be {'>' if strict else '>='} {low}{upper}, got {value}")
         return value
     return parse
 
 
 _positive_int = _bounded(int, 1)
+_lag = _bounded(int, 1, high=MAX_LAG)
 _non_negative_int = _bounded(int, 0)
 _positive_float = _bounded(float, 0, strict=True)
 
@@ -116,17 +121,10 @@ def _sha256(path: Path) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        nodes=args.nodes, communities=args.communities,
-        overlap_fraction=args.overlap, p_in=args.p_in, p_out=args.p_out,
-        epsilon=args.epsilon, rho=args.rho, bins=args.bins,
-        bin_width=args.bin_width, influence_in_degree=args.influence_in_degree,
-        influence_lag=args.influence_lag,
-        cross_influencers=args.cross_influencers, cross_span=args.cross_span,
-        cross_epsilon=args.cross_epsilon,
-        mention_events=args.mention_events, retweet_events=args.retweet_events,
-        interaction_intra_bias=args.interaction_intra_bias, seed=args.seed,
-    )
+    # every synth flag but --overlap is named after its config field
+    names = {f.name for f in fields(SynthConfig)}
+    cfg = SynthConfig(overlap_fraction=args.overlap, **{
+        name: value for name, value in vars(args).items() if name in names})
     try:
         cfg.validate()
     except ValueError as exc:  # a bad flag: exit 1 before any output
@@ -197,11 +195,13 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
         for k in lags:
             built.append((transfer_entropy_weights(graph, activity, k),
                           dict(meta, lag=k)))
-    for scheme, build in (("mention", mention_share_weights),
-                          ("retweet", retweet_share_weights),
-                          ("mention_retweet", mention_retweet_weights)):
-        if scheme in schemes:
-            built.append((build(graph, log), meta))
+    shares = {scheme: build(graph, log) for scheme, build in (
+        ("mention", mention_share_weights), ("retweet", retweet_share_weights))
+        if {scheme, "mention_retweet"} & set(schemes)}  # each at most once
+    built += [(shares[s], meta) for s in ("mention", "retweet") if s in schemes]
+    if "mention_retweet" in schemes:
+        built.append((mention_retweet_weights(shares["mention"],
+                                              shares["retweet"]), meta))
     if "hashtag" in schemes:
         base = 2.0 if args.tfidf_log_base == "2" else math.e
         vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
@@ -456,8 +456,8 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--scheme", required=True,
                    choices=list(SCHEMES) + ["all"])
-    p.add_argument("--lag", type=_positive_int, help="single transfer-entropy lag")
-    p.add_argument("--max-lag", type=_positive_int, default=6)
+    p.add_argument("--lag", type=_lag, help="single transfer-entropy lag")
+    p.add_argument("--max-lag", type=_lag, default=6)
     p.add_argument("--bin-width", type=_positive_int, default=600)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted for compatibility; has no effect")
@@ -500,8 +500,8 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--threshold", type=_non_negative_int, default=9)
     p.add_argument("--bin-width", type=_positive_int, default=600)
-    p.add_argument("--max-lag", type=_positive_int, default=6)
-    p.add_argument("--featured-lag", type=_positive_int, default=4)
+    p.add_argument("--max-lag", type=_lag, default=6)
+    p.add_argument("--featured-lag", type=_lag, default=4)
     p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--hist-bins", type=_positive_int, default=50)
     p.add_argument("--threads", type=_positive_int, default=1,

@@ -117,27 +117,14 @@ def conditional_weights(wg: WeightedDigraph, classes: Sequence[EdgeClass],
     grouped: dict[EdgeClass, list[float]] = {cls: [] for cls in EdgeClass}
     for cls, w in zip(classes, wg.values.tolist()):
         grouped[cls].append(w)
-    all_weights = [w for ws in grouped.values() for w in ws]
-    if all_weights:
-        lo, hi = min(all_weights), max(all_weights)
-        if lo == hi:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-    else:
-        edges = None
-    per_class = {}
-    for cls, ws in grouped.items():
-        if ws:
-            hist = np.histogram(ws, bins=edges)[0] if edges is not None else None
-            per_class[cls] = ClassStats(
-                count=len(ws),
-                median=median_low(ws),
-                histogram=(edges, hist) if hist is not None else None,
-                ccdf=weight_ccdf(ws),
-            )
-        else:
-            per_class[cls] = ClassStats(count=0, median=None, histogram=None,
-                                        ccdf=())
+    edges = None  # equal-width bins over the full weight range
+    if len(wg.values):
+        lo, hi = float(wg.values.min()), float(wg.values.max())
+        edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
+    per_class = {cls: ClassStats(
+        count=len(ws), median=median_low(ws) if ws else None,
+        histogram=(edges, np.histogram(ws, bins=edges)[0]) if ws else None,
+        ccdf=weight_ccdf(ws)) for cls, ws in grouped.items()}
     return ConditionalWeightReport(scheme=wg.scheme, per_class=per_class)
 
 

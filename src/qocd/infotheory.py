@@ -74,9 +74,12 @@ def as_bits(series: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+MAX_LAG = 12  # a joint term counts 2^(2k+1) codes in int64: 256 MiB at 12
+
+
 def _check_lag(k: int, t_len: int) -> None:
-    if not 1 <= k < t_len:
-        raise ValueError(f"lag k={k} must satisfy 1 <= k < T={t_len}")
+    if not 1 <= k <= MAX_LAG or k >= t_len:
+        raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
 
 
 def _past_codes(bits: np.ndarray, k: int) -> np.ndarray:

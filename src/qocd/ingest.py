@@ -11,43 +11,88 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
 
 EVENT_KINDS = ("post", "mention", "retweet")
+POST, MENTION, RETWEET = range(len(EVENT_KINDS))  # the kind codes
+_COLUMNS = {"kind": np.uint8, "actor": np.int32, "target": np.int32,
+            "ts": np.int64, "tag_ptr": np.int64, "tag_ids": np.int32}
 
 
-@dataclass(frozen=True)
-class Event:
-    """One user action: a post, a mention of another user, or a retweet.
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Parsed events as read-only columns in input order, plus the count of
+    skipped bad lines.
 
-    ``target`` is the mentioned user for mentions and the original author for
-    retweets; posts carry no target. Hashtags are lowercase, '#'-free, and
-    only attached to posts.
+    Event i is an ``EVENT_KINDS[kind[i]]`` by ``ids[actor[i]]`` at ``ts[i]``
+    aimed at ``ids[target[i]]`` (the mentioned user, or the author of the
+    retweeted post; -1 for a post), with the hashtags ``tags[j]`` for j in
+    ``tag_ids[tag_ptr[i]:tag_ptr[i + 1]]`` (posts only). ``ids`` and
+    ``tags`` are sorted and unique, so code order is string order.
     """
 
-    kind: str
-    actor: str
-    ts: int
-    target: str | None = None
-    hashtags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class EventLog:
-    """Parsed events in input order, plus the count of skipped bad lines."""
-
-    events: tuple[Event, ...]
+    ids: tuple[str, ...]
+    kind: np.ndarray
+    actor: np.ndarray
+    target: np.ndarray
+    ts: np.ndarray
+    tags: tuple[str, ...]
+    tag_ptr: np.ndarray
+    tag_ids: np.ndarray
     skipped: int = 0
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def __post_init__(self):
+        for name in ("ids", "tags"):
+            names = tuple(getattr(self, name))
+            if list(names) != sorted(set(names)):
+                raise ValueError(f"event log {name} must be sorted and unique")
+            object.__setattr__(self, name, names)
+        cols = {name: np.array(getattr(self, name), dtype=dtype)
+                for name, dtype in _COLUMNS.items()}
+        kind, actor, target, ts, ptr, tag_ids = cols.values()
+        if any(a.ndim != 1 for a in cols.values()) or not (
+                len(kind) == len(actor) == len(target) == len(ts) == len(ptr) - 1):
+            raise ValueError("event columns must be 1-D, tag_ptr one longer")
+        per_event = np.diff(ptr)
+        ranges = ((kind, 0, len(EVENT_KINDS)), (actor, 0, len(self.ids)),
+                  (target, -1, len(self.ids)), (tag_ids, 0, len(self.tags)),
+                  (ts, 0, np.inf), (per_event, 0, np.inf))
+        if (any(len(a) and (a.min() < low or a.max() >= high)
+                for a, low, high in ranges)
+                or ptr[0] != 0 or ptr[-1] != len(tag_ids)
+                or ((target < 0) != (kind == POST)).any()
+                or per_event[kind != POST].any()):
+            raise ValueError("event codes must lie in their tables, ts >= 0, "
+                             "and only posts may lack a target or carry tags")
+        for name, a in cols.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
-    def __iter__(self):
-        return iter(self.events)
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def positions(self, nodes: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Index in ``nodes`` of each event's actor and target, -1 for an id
+        not in ``nodes``: the one place where log ids meet graph ids."""
+        index = {node: i for i, node in enumerate(nodes)}
+        where = np.full(len(self.ids) + 1, -1, dtype=np.int32)
+        where[:-1] = [index.get(x, -1) for x in self.ids]  # code -1 stays -1
+        return where[self.actor], where[self.target]
+
+    def rows(self):
+        """``(kind, actor, ts, target or None, hashtags)`` of each event, in
+        order: a view derived from the columns, not stored."""
+        ids, ptr = self.ids + (None,), self.tag_ptr.tolist()
+        tags = [self.tags[j] for j in self.tag_ids.tolist()]
+        columns = (a.tolist() for a in (self.kind, self.actor, self.ts,
+                                         self.target))
+        for i, (kind, actor, ts, target) in enumerate(zip(*columns)):
+            yield (EVENT_KINDS[kind], ids[actor], ts, ids[target],
+                   tuple(tags[ptr[i]:ptr[i + 1]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +143,7 @@ class StructuralGraph:
         index = {node: i for i, node in enumerate(names)}
         codes = np.fromiter((index[node] for edge in edge_list for node in edge),
                             dtype=np.int64, count=2 * len(edge_list))
-        codes = codes.reshape(-1, 2)
-        keys = np.sort(codes[:, 0] * len(names) + codes[:, 1])
+        keys = np.sort(codes[0::2] * len(names) + codes[1::2])
         keys = keys[np.diff(keys, prepend=-1) > 0]  # drop repeated edges
         return cls(tuple(names), *np.divmod(keys, len(names)))
 
@@ -141,82 +185,83 @@ class FilterReport:
     """
 
     kept: frozenset[str]
-    removed_inactive: frozenset[str]
-    removed_not_in_gscc: frozenset[str]
+    removed_inactive: frozenset[str] = frozenset()
+    removed_not_in_gscc: frozenset[str] = frozenset()
     thresholds: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "kept": sorted(self.kept),
-            "removed_inactive": sorted(self.removed_inactive),
-            "removed_not_in_gscc": sorted(self.removed_not_in_gscc),
-            "thresholds": self.thresholds,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = {name: sorted(getattr(self, name)) for name in
+                   ("kept", "removed_inactive", "removed_not_in_gscc")}
+        return json.dumps(dict(payload, thresholds=self.thresholds),
+                          sort_keys=True, indent=2) + "\n"
 
 
-def _normalize_hashtags(raw) -> tuple[str, ...] | None:
-    """Lowercase, strip a leading '#'; None signals a malformed tag list."""
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
+def _parse_record(line: str):
+    """``(kind code, actor, ts, target or None, hashtags)`` of a valid JSON
+    event line, else None."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
         return None
-    tags = []
-    for tag in raw:
-        if not isinstance(tag, str):
-            return None
-        tag = tag.lower().lstrip("#")
-        if not tag or any(c.isspace() for c in tag):
-            return None
-        tags.append(tag)
-    return tuple(tags)
+    if not isinstance(rec, dict):
+        return None
+    kind, actor, ts = rec.get("kind"), rec.get("actor"), rec.get("ts")
+    target, raw = rec.get("target"), rec.get("hashtags")
+    # type(), not isinstance(): a bool is an int too; ts must fit in int64
+    if (kind not in EVENT_KINDS or not isinstance(actor, str) or not actor
+            or type(ts) is not int or not 0 <= ts < 2 ** 63):
+        return None
+    if kind != "post":  # mentions and retweets need a target, carry no tags
+        ok = isinstance(target, str) and target
+        return (EVENT_KINDS.index(kind), actor, ts, target, ()) if ok else None
+    raw = [] if raw is None else raw
+    if target is not None or not isinstance(raw, list):
+        return None
+    tags = [tag.lower().lstrip("#") for tag in raw if isinstance(tag, str)]
+    # split() returns a tag whole iff it is non-empty and has no whitespace
+    ok = len(tags) == len(raw) and all([tag.split() == [tag] for tag in tags])
+    return (POST, actor, ts, None, tags) if ok else None
 
 
-def _parse_event_record(rec: dict) -> Event | None:
-    kind = rec.get("kind")
-    actor = rec.get("actor")
-    ts = rec.get("ts")
-    target = rec.get("target")
-    if kind not in EVENT_KINDS or not isinstance(actor, str) or not actor:
-        return None
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
-        return None
-    if kind == "post":
-        if target is not None:
-            return None
-        hashtags = _normalize_hashtags(rec.get("hashtags"))
-        if hashtags is None:
-            return None
-        return Event(kind=kind, actor=actor, ts=ts, hashtags=hashtags)
-    # mentions and retweets need a target and never carry hashtags
-    if not isinstance(target, str) or not target:
-        return None
-    return Event(kind=kind, actor=actor, ts=ts, target=target)
+def _interned(codes: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted names of ``codes`` (name -> code in order of first sight)
+    and each code's rank among them, plus a last entry -1 for code -1."""
+    names = sorted(codes)
+    rank = np.full(len(names) + 1, -1, dtype=np.int32)
+    rank[[codes[name] for name in names]] = np.arange(len(names))
+    return tuple(names), rank
 
 
 def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
-    """Parse line-delimited JSON event records.
-
-    Malformed lines (bad JSON, unknown kind, missing/invalid fields) are
-    skipped and counted; an unreadable stream raises.
-    """
-    events = []
+    """Parse line-delimited JSON event records into typed buffers, sorting
+    the ids and hashtags once at the end. Malformed lines (bad JSON, unknown
+    kind, missing/invalid fields) are skipped and counted; an unreadable
+    stream raises."""
+    ids: dict[str, int] = {}  # id -> code in order of first sight
+    tags: dict[str, int] = {}
+    kind, actor, target, ts = array("B"), array("i"), array("i"), array("q")
+    tag_ptr, tag_ids = array("q", [0]), array("i")
     skipped = 0
     for line in stream:
         line = line.strip()
         if not line:
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
+        fields = _parse_record(line)
+        if fields is None:
             skipped += 1
             continue
-        event = _parse_event_record(rec) if isinstance(rec, dict) else None
-        if event is None:
-            skipped += 1
-        else:
-            events.append(event)
-    return EventLog(events=tuple(events), skipped=skipped)
+        code, who, when, whom, hashtags = fields
+        kind.append(code)
+        actor.append(ids.setdefault(who, len(ids)))
+        target.append(-1 if whom is None else ids.setdefault(whom, len(ids)))
+        ts.append(when)
+        if hashtags:
+            tag_ids.extend([tags.setdefault(tag, len(tags)) for tag in hashtags])
+        tag_ptr.append(len(tag_ids))
+    id_names, id_rank = _interned(ids)
+    tag_names, tag_rank = _interned(tags)
+    return EventLog(id_names, kind, id_rank[actor], id_rank[target], ts,
+                    tag_names, tag_ptr, tag_rank[tag_ids], skipped)
 
 
 def read_events(path) -> EventLog:
@@ -240,19 +285,14 @@ def read_follow_edges(path) -> StructuralGraph:
     Rows are deduplicated; self-follow rows and short rows are ignored. Ids
     are stripped and must pass :func:`check_ids`.
     """
-    edges = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"empty follow-edge file: {path}")
-        for row in reader:
-            if len(row) < 2:
-                continue
-            followee, follower = row[0].strip(), row[1].strip()
-            if not followee or not follower or followee == follower:
-                continue
-            edges.append((followee, follower))
+        pairs = ((row[0].strip(), row[1].strip()) for row in reader
+                 if len(row) >= 2)
+        edges = [(v, u) for v, u in pairs if v and u and v != u]
     graph = StructuralGraph.from_edges(edges)
     check_ids(graph.nodes)
     return graph
@@ -273,21 +313,17 @@ def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEvent
     in-network users, plus retweets made by u of in-network users. Events
     touching anyone outside the graph are ignored entirely.
     """
-    nodes = frozenset(graph.nodes)
-    outgoing: Counter[str] = Counter()
-    incoming: Counter[str] = Counter()
-    for ev in log.events:
-        if ev.kind == "post":
-            continue
-        if ev.actor not in nodes or ev.target not in nodes:
-            continue
-        if ev.kind == "mention":
-            outgoing[ev.actor] += 1
-            incoming[ev.target] += 1
-        else:  # retweet: actor rebroadcast target's post
-            outgoing[ev.target] += 1
-            incoming[ev.actor] += 1
-    return InfoEventCounts(outgoing=dict(outgoing), incoming=dict(incoming))
+    actor, target = log.positions(graph.nodes)
+    inside = (actor >= 0) & (target >= 0)  # a post's target is -1
+    mention = inside & (log.kind == MENTION)
+    retweet = inside & (log.kind == RETWEET)  # actor rebroadcast target's post
+
+    def tally(*codes) -> dict[str, int]:
+        counts = np.bincount(np.concatenate(codes), minlength=len(graph.nodes))
+        return {node: c for node, c in zip(graph.nodes, counts.tolist()) if c}
+
+    return InfoEventCounts(outgoing=tally(actor[mention], target[retweet]),
+                           incoming=tally(target[mention], actor[retweet]))
 
 
 def filter_active(graph: StructuralGraph, counts: InfoEventCounts,
@@ -299,18 +335,11 @@ def filter_active(graph: StructuralGraph, counts: InfoEventCounts,
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    kept = set()
-    removed = set()
-    for node in graph.nodes:
-        out_n, in_n = counts.for_user(node)
-        if out_n >= threshold and in_n >= threshold:
-            kept.add(node)
-        else:
-            removed.add(node)
+    kept = frozenset(node for node in graph.nodes
+                     if min(counts.for_user(node)) >= threshold)
     report = FilterReport(
-        kept=frozenset(kept),
-        removed_inactive=frozenset(removed),
-        removed_not_in_gscc=frozenset(),
+        kept=kept,
+        removed_inactive=frozenset(graph.nodes) - kept,
         thresholds={"outgoing": threshold, "incoming": threshold,
                     "rule": "outgoing >= t AND incoming >= t (per-type)"},
     )
@@ -330,22 +359,14 @@ def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
     g = nx.DiGraph()
     g.add_nodes_from(graph.nodes)
     g.add_edges_from(graph.edges)
-    components = list(nx.strongly_connected_components(g))
-    giant = min(components, key=lambda c: (-len(c), min(c)))
-    report = FilterReport(
-        kept=frozenset(giant),
-        removed_inactive=frozenset(),
-        removed_not_in_gscc=frozenset(graph.nodes) - giant,
-        thresholds={},
-    )
+    giant = min(nx.strongly_connected_components(g),
+                key=lambda c: (-len(c), min(c)))
+    report = FilterReport(kept=frozenset(giant),
+                          removed_not_in_gscc=frozenset(graph.nodes) - giant)
     return graph.subgraph(giant), report
 
 
 def combine_reports(active: FilterReport, scc: FilterReport) -> FilterReport:
     """Merge the activity-filter and SCC-restriction reports into one."""
-    return FilterReport(
-        kept=scc.kept,
-        removed_inactive=active.removed_inactive,
-        removed_not_in_gscc=scc.removed_not_in_gscc,
-        thresholds=active.thresholds,
-    )
+    return replace(active, kept=scc.kept,
+                   removed_not_in_gscc=scc.removed_not_in_gscc)

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .communities import Covering
-from .ingest import Event, EventLog, StructuralGraph
+from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
+                     StructuralGraph)
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,8 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     n = cfg.nodes
 
     comm_mask = np.zeros((cfg.communities, n), dtype=bool)
-    for c in range(cfg.communities):
-        for i in range(n):
-            if c in member_of[i]:
-                comm_mask[c, i] = True
+    for i, member in enumerate(member_of):
+        comm_mask[sorted(member), i] = True
     shares = (comm_mask.T.astype(np.int8) @ comm_mask.astype(np.int8)) > 0
 
     thresholds = np.where(shares, cfg.p_in, cfg.p_out)
@@ -161,56 +160,56 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
 
     activity = _draw_activity(cfg, rng, influence_intra, influence_cross, cross_eps)
 
-    events: list[Event] = []
-    tag_pools = {
-        c: [f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
-        for c in range(cfg.communities)
-    }
+    tag_pools = [[f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
+                 for c in range(cfg.communities)]
     shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
-    for i in range(n):
-        own = sorted(member_of[i])
-        for t in np.flatnonzero(activity[i]).tolist():
-            hashtags = ()
-            if rng.random() < cfg.hashtag_rate:
-                if own and rng.random() < cfg.own_pool_bias:
-                    pool = tag_pools[own[int(rng.integers(len(own)))]]
-                else:
-                    pool = shared_tags
-                if pool:
-                    hashtags = (pool[int(rng.integers(len(pool)))],)
-            events.append(Event(kind="post", actor=ids[i],
-                                ts=t * cfg.bin_width, hashtags=hashtags))
+    own_pools = [sorted(m) for m in member_of]
+    post_actor, post_bin = np.nonzero(activity)  # node by node, bins rising
+    post_tags = []  # "" for a post without one
+    for i in post_actor.tolist():
+        tag, own = "", own_pools[i]
+        if rng.random() < cfg.hashtag_rate:
+            if own and rng.random() < cfg.own_pool_bias:
+                pool = tag_pools[own[int(rng.integers(len(own)))]]
+            else:
+                pool = shared_tags
+            if pool:
+                tag = pool[int(rng.integers(len(pool)))]
+        post_tags.append(tag)
 
     horizon = cfg.bins * cfg.bin_width
-    for i in range(n):
-        followers = sorted(np.flatnonzero(follow[i]).tolist())
-        intra = [j for j in followers if shares[i, j]]
-        events.extend(_interaction_events(
-            rng, "mention", actor=ids[i], pool_intra=[ids[j] for j in intra],
-            pool_all=[ids[j] for j in followers], rate=cfg.mention_events,
-            bias=cfg.interaction_intra_bias, horizon=horizon))
-    for j in range(n):
-        followees = sorted(np.flatnonzero(follow[:, j]).tolist())
-        intra = [i for i in followees if shares[i, j]]
-        events.extend(_interaction_events(
-            rng, "retweet", actor=ids[j], pool_intra=[ids[i] for i in intra],
-            pool_all=[ids[i] for i in followees], rate=cfg.retweet_events,
-            bias=cfg.interaction_intra_bias, horizon=horizon))
+    drawn = []  # (kind, actor, ts, target) of every mention and retweet
+    # a mention goes to a follower, a retweet to a followee
+    for kind, pools, rate in ((MENTION, follow, cfg.mention_events),
+                              (RETWEET, follow.T, cfg.retweet_events)):
+        for i in range(n):
+            pool = np.flatnonzero(pools[i]).tolist()
+            intra = [j for j in pool if shares[i, j]]  # shares is symmetric
+            drawn += _interaction_events(
+                rng, kind, i, intra, pool, rate=rate,
+                bias=cfg.interaction_intra_bias, horizon=horizon)
 
-    events.sort(key=lambda e: (e.ts, e.kind, e.actor, e.target or ""))
-    log = EventLog(events=tuple(events))
+    posts = (np.full(len(post_actor), POST), post_actor,
+             post_bin * cfg.bin_width, np.full(len(post_actor), -1))
+    kind, actor, ts, target = (np.concatenate(pair) for pair in zip(
+        posts, np.array(drawn, dtype=np.int64).reshape(-1, 4).T))
+    tags, tag = np.unique([""] + post_tags + [""] * len(drawn),
+                          return_inverse=True)  # "" first: code -1, no tag
+    name_rank = np.argsort(np.argsort(EVENT_KINDS))  # mention < post < retweet
+    order = np.lexsort((target, actor, name_rank[kind], ts))
+    tag = tag[1:][order] - 1
+    log = EventLog(tuple(ids), kind[order], actor[order], target[order],
+                   ts[order], tuple(tags[1:].tolist()),
+                   np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
 
     # ids sort like their indices, and nonzero walks rows in order
     graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
 
-    influence_edges = {
-        (ids[s], ids[t])
-        for t, s in zip(*np.nonzero(influence_intra | influence_cross))
-    }
+    targets, sources = np.nonzero(influence_intra | influence_cross)
     truth = PlantedTruth(
         covering=Covering(universe=ids, communities=tuple(communities)),
-        influence_edges=frozenset(influence_edges),
-    )
+        influence_edges=frozenset((ids[s], ids[t])
+                                  for t, s in zip(targets, sources)))
     return log, graph, truth
 
 
@@ -233,9 +232,10 @@ def _draw_activity(cfg: SynthConfig, rng, influence_intra, influence_cross,
     return activity
 
 
-def _interaction_events(rng, kind: str, actor: str, pool_intra: list[str],
-                        pool_all: list[str], rate: float, bias: float,
-                        horizon: int) -> list[Event]:
+def _interaction_events(rng, kind: int, actor: int, pool_intra: list[int],
+                        pool_all: list[int], rate: float, bias: float,
+                        horizon: int) -> list[tuple[int, int, int, int]]:
+    """(kind, actor, ts, target) of each event one actor draws."""
     out = []
     for _ in range(int(rng.poisson(rate))):
         ts = int(rng.integers(horizon))
@@ -243,19 +243,18 @@ def _interaction_events(rng, kind: str, actor: str, pool_intra: list[str],
         pool = pool_intra if (use_intra and pool_intra) else pool_all
         if not pool:
             continue
-        target = pool[int(rng.integers(len(pool)))]
-        out.append(Event(kind=kind, actor=actor, ts=ts, target=target))
+        out.append((kind, actor, ts, pool[int(rng.integers(len(pool)))]))
     return out
 
 
 def write_events_jsonl(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in log.events:
-            rec: dict = {"kind": ev.kind, "actor": ev.actor, "ts": ev.ts}
-            if ev.target is not None:
-                rec["target"] = ev.target
-            if ev.hashtags:
-                rec["hashtags"] = list(ev.hashtags)
+        for kind, actor, ts, target, hashtags in log.rows():
+            rec: dict = {"kind": kind, "actor": actor, "ts": ts}
+            if target is not None:
+                rec["target"] = target
+            if hashtags:
+                rec["hashtags"] = list(hashtags)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

@@ -18,7 +18,6 @@ Ratios with a zero denominator define weight 0, which is what strands the
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -28,7 +27,7 @@ import numpy as np
 
 from .activity import ActivityMatrix
 from .infotheory import pairwise_transfer_entropy
-from .ingest import EventLog, StructuralGraph
+from .ingest import MENTION, RETWEET, EventLog, StructuralGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,44 +90,42 @@ def transfer_entropy_weights(graph: StructuralGraph, activity: ActivityMatrix,
     return WeightedDigraph(graph, table, f"te_lag{k}")
 
 
-def _interactions(graph: StructuralGraph, log: EventLog,
-                  kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices of the actor and the target of every ``kind`` event
-    between two graph nodes."""
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    pairs = [(index[ev.actor], index[ev.target]) for ev in log.events
-             if ev.kind == kind and ev.actor in index and ev.target in index]
-    codes = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return codes[:, 0], codes[:, 1]
-
-
-def _share(graph: StructuralGraph, followee: np.ndarray,
-           follower: np.ndarray) -> np.ndarray:
-    """Per edge (v, u): the share of u's events that pair u with v, where
-    event i pairs ``follower[i]`` with ``followee[i]``; 0 if u has none."""
-    pairs = Counter(zip(followee.tolist(), follower.tolist()))
-    count = [pairs[e] for e in zip(graph.src.tolist(), graph.dst.tolist())]
-    total = np.bincount(follower, minlength=len(graph.nodes))[graph.dst]
+def _share(graph: StructuralGraph, log: EventLog, kind: int,
+           follower_acts: bool) -> np.ndarray:
+    """Per edge (v, u): the share of u's events of kind code ``kind`` that
+    pair u with v, over events between graph nodes; 0 if u has none. u is
+    the actor of those events if ``follower_acts``, else their target."""
+    actor, target = log.positions(graph.nodes)
+    inside = (log.kind == kind) & (actor >= 0) & (target >= 0)
+    followee, follower = (target, actor) if follower_acts else (actor, target)
+    followee, follower = followee[inside], follower[inside]
+    n = len(graph.nodes)
+    keys = graph.src.astype(np.int64) * n + graph.dst  # sorted: edge order
+    pairs = followee.astype(np.int64) * n + follower
+    on_edge = pairs[np.isin(pairs, keys)]
+    count = np.bincount(np.searchsorted(keys, on_edge), minlength=len(keys))
+    total = np.bincount(follower, minlength=n)[graph.dst]
     return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
 
 
 def retweet_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = retweets of u by f / all retweets f made (in-network)."""
-    actor, target = _interactions(graph, log, "retweet")
-    return WeightedDigraph(graph, _share(graph, target, actor), "retweet")
+    return WeightedDigraph(graph, _share(graph, log, RETWEET, True), "retweet")
 
 
 def mention_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = mentions of f by u / all mentions of f (in-network)."""
-    actor, target = _interactions(graph, log, "mention")
-    return WeightedDigraph(graph, _share(graph, actor, target), "mention")
+    return WeightedDigraph(graph, _share(graph, log, MENTION, False), "mention")
 
 
-def mention_retweet_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
-    """Arithmetic mean of the mention and retweet shares."""
-    m = mention_share_weights(graph, log)
-    r = retweet_share_weights(graph, log)
-    return WeightedDigraph(graph, (m.values + r.values) / 2, "mention_retweet")
+def mention_retweet_weights(mention: WeightedDigraph,
+                            retweet: WeightedDigraph) -> WeightedDigraph:
+    """Arithmetic mean of a mention and a retweet share table on one graph
+    (the same ``StructuralGraph`` object)."""
+    if mention.graph != retweet.graph:
+        raise ValueError("the shares lie on different graphs")
+    return WeightedDigraph(mention.graph, (mention.values + retweet.values) / 2,
+                           "mention_retweet")
 
 
 def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
@@ -137,31 +134,29 @@ def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
 
     Tags used by every user score zero and are dropped from the vectors, as
     is any tag a user never used. The log base only rescales the vectors, so
-    downstream cosine weights are base-independent.
+    downstream cosine weights are base-independent. Each vector holds its
+    tags in the order the user first used them.
     """
     if not nodes:
         raise ValueError("need at least one user for tf-idf")
-    n_users = len(nodes)
-    tag_counts: dict[str, Counter] = {u: Counter() for u in nodes}
-    for ev in log.events:
-        if ev.kind != "post" or ev.actor not in tag_counts:
-            continue
-        for tag in ev.hashtags:
-            tag_counts[ev.actor][tag.lower()] += 1
-    users_using = Counter()
-    for counts in tag_counts.values():
-        for tag in counts:
-            users_using[tag] += 1
+    users = list(nodes)
+    poster = np.repeat(log.positions(users)[0], np.diff(log.tag_ptr))
+    used = poster >= 0
+    width = max(len(log.tags), 1)
+    pairs = poster[used].astype(np.int64) * width + log.tag_ids[used]
+    keys, first, counts = np.unique(pairs, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)  # the (user, tag) pairs by first use
+    who, tag = np.divmod(keys[order], width)
     scale = math.log(log_base)
-    vectors = {}
-    for user in nodes:
-        values = {}
-        for tag, count in tag_counts[user].items():
-            idf = math.log(n_users / users_using[tag]) / scale
-            if idf > 0:
-                values[tag] = count * idf
-        vectors[user] = HashtagVector(user=user, values=values)
-    return vectors
+    idf = [math.log(len(users) / using) / scale if using else 0.0
+           for using in np.bincount(tag, minlength=len(log.tags)).tolist()]
+    values: list[dict[str, float]] = [{} for _ in users]
+    for u, t, count in zip(who.tolist(), tag.tolist(), counts[order].tolist()):
+        if idf[t] > 0:
+            values[u][log.tags[t]] = count * idf[t]
+    return {user: HashtagVector(user=user, values=v)
+            for user, v in zip(users, values)}
 
 
 def cosine(a: HashtagVector, b: HashtagVector) -> float:

@@ -268,3 +268,95 @@ def brute_force_sccs(nodes, edges) -> list[frozenset]:
         components.append(comp)
         assigned |= comp
     return components
+
+
+# ---- event-log consumers, one Python loop per record -----------------------
+#
+# Each takes the parsed JSON dicts of valid event lines, as ``json.loads``
+# returns them: hashtags as written, before any normalization.
+
+
+def _normalized_tags(rec) -> list:
+    return [tag.lower().lstrip("#") for tag in rec.get("hashtags") or []]
+
+
+def loop_information_counts(records, nodes) -> tuple[dict, dict]:
+    """(outgoing, incoming) counts of in-network mentions and retweets."""
+    nodes = frozenset(nodes)
+    outgoing, incoming = Counter(), Counter()
+    for rec in records:
+        if rec["kind"] == "post":
+            continue
+        actor, target = rec["actor"], rec["target"]
+        if actor not in nodes or target not in nodes:
+            continue
+        if rec["kind"] == "mention":
+            outgoing[actor] += 1
+            incoming[target] += 1
+        else:  # a retweet: information left the target, reached the actor
+            outgoing[target] += 1
+            incoming[actor] += 1
+    return dict(outgoing), dict(incoming)
+
+
+def loop_coarsen(records, nodes, bin_width, window=None,
+                 retweets_count_as_activity=True) -> tuple[int, list]:
+    """(origin, one 0/1 list per node) of posts (and retweets) per bin."""
+    if window is None:
+        stamps = [rec["ts"] for rec in records]
+        origin, end = min(stamps) // bin_width * bin_width, max(stamps)
+    else:
+        origin, end = window
+    kinds = ("post", "retweet") if retweets_count_as_activity else ("post",)
+    length = -((end - origin + 1) // -bin_width)
+    rows = {node: [0] * length for node in nodes}
+    for rec in records:
+        if rec["kind"] in kinds and rec["actor"] in rows \
+                and origin <= rec["ts"] <= end:
+            rows[rec["actor"]][(rec["ts"] - origin) // bin_width] = 1
+    return origin, [rows[node] for node in nodes]
+
+
+def loop_share(records, nodes, edges, kind) -> list:
+    """Per edge (v, u): the share of u's in-network ``kind`` events that
+    pair u with v; u is the retweeter, or the one mentioned."""
+    nodes = frozenset(nodes)
+    pairs = Counter()
+    totals = Counter()
+    for rec in records:
+        if rec["kind"] != kind:
+            continue
+        if rec["actor"] not in nodes or rec["target"] not in nodes:
+            continue
+        if kind == "retweet":
+            followee, follower = rec["target"], rec["actor"]
+        else:
+            followee, follower = rec["actor"], rec["target"]
+        pairs[(followee, follower)] += 1
+        totals[follower] += 1
+    return [pairs[(v, u)] / totals[u] if totals[u] else 0.0 for v, u in edges]
+
+
+def loop_tfidf(records, nodes, log_base=math.e) -> dict:
+    """user -> {tag: count * idf}, tags in the order the user first used
+    them, dropping tags every user used."""
+    tag_counts = {user: Counter() for user in nodes}
+    for rec in records:
+        if rec["kind"] != "post" or rec["actor"] not in tag_counts:
+            continue
+        for tag in _normalized_tags(rec):
+            tag_counts[rec["actor"]][tag.lower()] += 1
+    users_using = Counter()
+    for counts in tag_counts.values():
+        for tag in counts:
+            users_using[tag] += 1
+    scale = math.log(log_base)
+    vectors = {}
+    for user in nodes:
+        values = {}
+        for tag, count in tag_counts[user].items():
+            idf = math.log(len(nodes) / users_using[tag]) / scale
+            if idf > 0:
+                values[tag] = count * idf
+        vectors[user] = values
+    return vectors

@@ -19,7 +19,8 @@ from qocd.edgestats import EdgeClass, classify_edge, median_low, partition_edges
 from qocd.infotheory import plugin_entropy, transfer_entropy
 from qocd.synth import SynthConfig, generate
 from qocd.weighting import (hashtag_similarity_weights, hashtag_tfidf_vectors,
-                            mention_retweet_weights, transfer_entropy_weights)
+                            mention_retweet_weights, mention_share_weights,
+                            retweet_share_weights, transfer_entropy_weights)
 
 from oracles import brute_force_te
 from test_compare import random_covering
@@ -33,6 +34,11 @@ def criterion(num, title):
         print(f"[acceptance] criterion {num} ({title}): FAIL")
         raise
     print(f"[acceptance] criterion {num} ({title}): PASS")
+
+
+def mention_retweet(graph, log):
+    return mention_retweet_weights(mention_share_weights(graph, log),
+                                   retweet_share_weights(graph, log))
 
 
 def planted_window(cfg):
@@ -127,7 +133,7 @@ def test_criterion_6_edge_partition_totality():
                               p_out=0.08, rho=0.1, epsilon=0.2,
                               overlap_fraction=0.2, seed=seed)
             log, graph, truth = generate(cfg)
-            wg = mention_retweet_weights(graph, log)
+            wg = mention_retweet(graph, log)
             for covering in (truth.covering, detect_communities(wg)):
                 classes = partition_edges(wg, covering)
                 counts = {cls: 0 for cls in EdgeClass}
@@ -148,7 +154,7 @@ def test_criterion_7_planted_recovery():
         te_cov = detect_communities(
             transfer_entropy_weights(graph, activity, 1))
         te_nmi = nmi(te_cov, truth.covering)
-        mr_cov = detect_communities(mention_retweet_weights(graph, log))
+        mr_cov = detect_communities(mention_retweet(graph, log))
         mr_nmi = nmi(mr_cov, truth.covering)
         elapsed = time.perf_counter() - start
         print(f"  TE lag-1 NMI {te_nmi:.3f}, mention-retweet NMI {mr_nmi:.3f},"
@@ -179,7 +185,7 @@ def test_criterion_8_cross_boundary_information_flow():
         te2 = transfer_entropy_weights(graph, activity, 2)
         cov1 = detect_communities(te1)
         cov2 = detect_communities(te2)
-        cov_mr = detect_communities(mention_retweet_weights(graph, log))
+        cov_mr = detect_communities(mention_retweet(graph, log))
         adjacent = nmi(cov1, cov2)
         across = nmi(cov1, cov_mr)
         print(f"  NMI adjacent TE lags {adjacent:.3f} vs TE/MR {across:.3f}")

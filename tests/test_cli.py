@@ -303,6 +303,58 @@ def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["weight", "--scheme", "te", "--lag", "40"],
+    ["weight", "--scheme", "all", "--max-lag", "13"],
+    ["pipeline", "--max-lag", "40"],
+    ["pipeline", "--featured-lag", "13", "--max-lag", "13"],
+])
+def test_lag_above_the_bound_exits_one_before_output(tmp_path, capsys,
+                                                     command):
+    # a lag of 40 once sized a 2^81-entry count table and exited 3. The
+    # inputs are missing, so a flag that got past the parser would exit 2
+    # at once instead of running transfer entropy at lags 1, 2, ...
+    from qocd.infotheory import MAX_LAG
+
+    out = tmp_path / "out"
+    inputs = {"weight": ["--events", str(tmp_path / "events.jsonl"),
+                         "--graph", str(tmp_path / "graph.csv")],
+              "pipeline": ["-i", str(tmp_path)]}[command[0]]
+    assert main(command + inputs + ["-o", str(out)]) == 1
+    assert f"must be >= 1 and <= {MAX_LAG}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_lag_passes_the_parser():
+    from qocd.cli import build_parser
+    from qocd.infotheory import MAX_LAG
+
+    args = build_parser().parse_args(
+        ["weight", "--events", "e", "--graph", "g", "-o", "o",
+         "--scheme", "te", "--lag", str(MAX_LAG)])
+    assert args.lag == MAX_LAG
+
+
+def test_weight_builds_each_share_once(dataset, ingested, tmp_path,
+                                       monkeypatch):
+    import qocd.cli
+
+    calls = []
+    for name in ("mention_share_weights", "retweet_share_weights"):
+        build = getattr(qocd.cli, name)
+        monkeypatch.setattr(qocd.cli, name, lambda *a, _b=build, _n=name:
+                            calls.append(_n) or _b(*a))
+    for scheme in ("all", "mention_retweet", "mention"):
+        calls.clear()
+        assert main(["weight", "--events", str(dataset / "events.jsonl"),
+                     "--graph", str(ingested / "graph.csv"), "--scheme",
+                     scheme, "--max-lag", "1",
+                     "-o", str(tmp_path / scheme)]) == 0
+        assert sorted(calls) == (["mention_share_weights"] if scheme == "mention"
+                                 else ["mention_share_weights",
+                                       "retweet_share_weights"])
+
+
 @pytest.mark.parametrize("flags", [
     ["--nodes", "-5"],
     ["--communities", "0"],

@@ -195,12 +195,14 @@ def test_detected_covering_concentrates_weight_inside():
     # as across them
     from qocd.communities import detect_communities
     from qocd.synth import SynthConfig, generate
-    from qocd.weighting import mention_retweet_weights
+    from qocd.weighting import (mention_retweet_weights,
+                                mention_share_weights, retweet_share_weights)
 
     log, graph, _ = generate(SynthConfig(
         nodes=40, communities=4, bins=60, p_in=0.5, p_out=0.08, rho=0.1,
         epsilon=0.2, mention_events=15, retweet_events=15, seed=15))
-    wg = mention_retweet_weights(graph, log)
+    wg = mention_retweet_weights(mention_share_weights(graph, log),
+                                 retweet_share_weights(graph, log))
     covering = detect_communities(wg)
     classes = partition_edges(wg, covering)
     grouped = {cls: [] for cls in EdgeClass}

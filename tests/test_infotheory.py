@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qocd.activity import ActivityMatrix
-from qocd.infotheory import (pairwise_transfer_entropy, plugin_entropy,
-                             transfer_entropy)
+from qocd.infotheory import (MAX_LAG, pairwise_transfer_entropy,
+                             plugin_entropy, transfer_entropy)
 from qocd.ingest import StructuralGraph
 
 from oracles import brute_force_te
@@ -109,6 +109,15 @@ class TestTransferEntropy:
         with pytest.raises(ValueError, match="one-dimensional"):
             transfer_entropy(np.zeros((2, 5), dtype=int), np.zeros(5, dtype=int), 1)
 
+    def test_lag_above_the_bound_is_rejected(self):
+        # at lag 40 a joint-term table could need 2^81 counters; constant
+        # series keep every code 0, so a missed check costs no memory
+        x = [0] * 100
+        with pytest.raises(ValueError, match=f"k <= {MAX_LAG}"):
+            transfer_entropy(x, x, 40)
+        with pytest.raises(ValueError, match="lag"):
+            transfer_entropy(x, x, MAX_LAG + 1)
+
     def test_convergence_to_analytic_value(self):
         # x copies y through a binary symmetric channel with flip rate q;
         # the true lag-1 value is 1 - H(q).
@@ -159,6 +168,12 @@ class TestPairwise:
         for k in (0, 3):
             with pytest.raises(ValueError, match="lag"):
                 pairwise_transfer_entropy(graph, activity, k)
+
+    def test_lag_above_the_bound_is_rejected(self):
+        graph = StructuralGraph.from_edges([("u", "f")])
+        activity = activity_of({"u": [0] * 60, "f": [0] * 60})
+        with pytest.raises(ValueError, match=f"k <= {MAX_LAG}"):
+            pairwise_transfer_entropy(graph, activity, MAX_LAG + 1)
 
     def test_equals_the_single_pair_estimator_bit_for_bit(self):
         # the table shares each follower's own terms across its in-edges;

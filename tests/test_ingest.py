@@ -17,18 +17,21 @@ def parse(*lines):
 def test_parse_single_mention():
     log = parse('{"kind":"mention","actor":"a","ts":10,"target":"b"}')
     assert log.skipped == 0
-    (ev,) = log.events
-    assert (ev.kind, ev.actor, ev.ts, ev.target) == ("mention", "a", 10, "b")
+    assert list(log.rows()) == [("mention", "a", 10, "b", ())]
+    assert log.ids == ("a", "b")
+    assert (log.kind.tolist(), log.actor.tolist(), log.target.tolist(),
+            log.ts.tolist()) == ([1], [0], [1], [10])
 
 
 def test_parse_empty_input():
     log = parse()
-    assert log.events == () and log.skipped == 0
+    assert len(log) == 0 and log.skipped == 0
+    assert log.ids == () and log.tag_ptr.tolist() == [0]
 
 
 def test_mention_without_target_is_skipped():
     log = parse('{"kind":"mention","actor":"a","ts":10}')
-    assert log.events == () and log.skipped == 1
+    assert len(log) == 0 and log.skipped == 1
 
 
 def test_post_with_target_is_skipped():
@@ -38,7 +41,8 @@ def test_post_with_target_is_skipped():
 
 def test_hashtags_normalized_and_validated():
     log = parse('{"kind":"post","actor":"a","ts":1,"hashtags":["#Green","ECO"]}')
-    assert log.events[0].hashtags == ("green", "eco")
+    assert next(log.rows())[4] == ("green", "eco")
+    assert log.tags == ("eco", "green") and log.tag_ids.tolist() == [1, 0]
     bad = parse('{"kind":"post","actor":"a","ts":1,"hashtags":["two words"]}')
     assert bad.skipped == 1
 
@@ -48,10 +52,17 @@ def test_parse_rejects_bad_ts_and_kind():
         '{"kind":"post","actor":"a","ts":-1}',
         '{"kind":"unknown","actor":"a","ts":1}',
         'not json at all',
+        '{"kind":"post","actor":"a","ts":true}',
+        '{"kind":"post","actor":"a","ts":1.5}',
+        '{"kind":"post","actor":"a","ts":9223372036854775808}',
+        '{"kind":"post","actor":"","ts":1}',
+        '{"kind":"post","actor":"a","ts":1,"hashtags":"green"}',
+        '{"kind":"post","actor":"a","ts":1,"hashtags":["#"]}',
+        '["kind","post"]',
         '{"kind":"post","actor":"a","ts":3}',
     )
-    assert log.skipped == 3
-    assert len(log.events) == 1
+    assert log.skipped == 10
+    assert len(log) == 1
 
 
 def graph_of(*edges, extra_nodes=()):

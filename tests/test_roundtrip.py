@@ -1,9 +1,11 @@
 """Every file qocd writes reads back identically for each id ingest accepts.
 
 The ids mix commas, quotes and non-ASCII characters with arbitrary text;
-the only ids left out are those ``check_ids`` rejects.
+the only ids left out are those ``check_ids`` rejects, except in the event
+log, which takes any non-empty id.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -12,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from qocd.cli import read_weight_table, write_weight_table
 from qocd.communities import Covering, read_covering, write_covering
-from qocd.ingest import (StructuralGraph, check_ids, read_follow_edges,
-                         write_follow_edges)
+from qocd.ingest import (StructuralGraph, check_ids, parse_events, read_events,
+                         read_follow_edges, write_follow_edges)
+from qocd.synth import SynthConfig, generate, write_events_jsonl
 from qocd.weighting import WeightedDigraph
 
 ROUND_TRIPS = settings(max_examples=100, deadline=None)
@@ -77,3 +80,51 @@ def test_covering_file_round_trip(data):
     assert back == covering
     for name in ("sizes", "indptr", "rows"):
         assert np.array_equal(getattr(back, name), getattr(covering, name))
+
+
+LOG_COLUMNS = ("ids", "kind", "actor", "target", "ts", "tags", "tag_ptr",
+               "tag_ids", "skipped")
+
+
+def same_log(a, b) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               if isinstance(getattr(a, name), np.ndarray)
+               else getattr(a, name) == getattr(b, name)
+               for name in LOG_COLUMNS)
+
+
+# any non-empty id parses; a tag must already be in the form ingest stores
+log_ids = st.text(st.one_of(st.sampled_from(',"\'# é名'),
+                            st.characters(codec="utf-8")), min_size=1,
+                  max_size=6)
+log_tags = log_ids.filter(lambda t: t.lower().lstrip("#") == t
+                          and t.split() == [t])
+stamps = st.integers(0, 2 ** 63 - 1)
+posts = st.fixed_dictionaries(
+    {"kind": st.just("post"), "actor": log_ids, "ts": stamps},
+    optional={"hashtags": st.lists(log_tags, max_size=3)})
+interactions = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["mention", "retweet"]), "actor": log_ids,
+     "ts": stamps, "target": log_ids})
+
+
+@ROUND_TRIPS
+@given(st.lists(st.one_of(posts, interactions), max_size=12))
+def test_event_log_round_trip(records):
+    log = parse_events(json.dumps(rec) for rec in records)
+    assert log.skipped == 0 and len(log) == len(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        write_events_jsonl(log, path)
+        back = read_events(path)
+    assert back.skipped == 0
+    assert same_log(back, log)
+
+
+def test_generated_log_reads_back_equal(tmp_path):
+    log, _, _ = generate(SynthConfig(nodes=20, communities=2, bins=200,
+                                     rho=0.1, epsilon=0.2, seed=5))
+    write_events_jsonl(log, tmp_path / "events.jsonl")
+    back = read_events(tmp_path / "events.jsonl")
+    assert list(back.rows()) == list(log.rows())
+    assert same_log(back, log)

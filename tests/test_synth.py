@@ -23,12 +23,12 @@ SMALL = dict(nodes=40, communities=4, bins=400, p_in=0.5, p_out=0.05,
 def test_determinism_under_fixed_seed():
     a = generate(SynthConfig(seed=5, **SMALL))
     b = generate(SynthConfig(seed=5, **SMALL))
-    assert a[0] == b[0]
+    assert list(a[0].rows()) == list(b[0].rows())
     assert (a[1].nodes, a[1].edges) == (b[1].nodes, b[1].edges)
     assert a[2].covering == b[2].covering
     assert a[2].influence_edges == b[2].influence_edges
     c = generate(SynthConfig(seed=6, **SMALL))
-    assert c[0] != a[0]
+    assert list(c[0].rows()) != list(a[0].rows())
 
 
 def test_planted_covering_is_valid_and_sized():
@@ -54,13 +54,14 @@ def test_influence_edges_are_structural_edges():
 
 def test_events_respect_schema():
     log, graph, _ = generate(SynthConfig(seed=4, **SMALL))
-    for ev in log.events:
-        assert ev.actor in graph.nodes
-        if ev.kind == "post":
-            assert ev.target is None
+    assert log.ids == graph.nodes
+    for kind, actor, _, target, hashtags in log.rows():
+        assert actor in graph.nodes
+        if kind == "post":
+            assert target is None
         else:
-            assert ev.target in graph.nodes and ev.target != ev.actor
-            assert ev.hashtags == ()
+            assert target in graph.nodes and target != actor
+            assert hashtags == ()
 
 
 def test_no_coupling_means_no_information_flow():

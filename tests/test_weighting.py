@@ -84,15 +84,27 @@ class TestMentionShare:
         assert wg.weights[("u", "f")] == 1.0
 
 
+def mention_retweet(graph, log):
+    return mention_retweet_weights(mention_share_weights(graph, log),
+                                   retweet_share_weights(graph, log))
+
+
 def test_mention_retweet_is_the_arithmetic_mean():
     log = log_of(*([mention("u", "f")] * 2 + [mention("v", "f")] * 6
                    + [retweet("f", "u")] * 3 + [retweet("f", "v")] * 7))
-    wg = mention_retweet_weights(GRAPH, log)
+    wg = mention_retweet(GRAPH, log)
     assert wg.weights[("u", "f")] == pytest.approx((0.25 + 0.3) / 2)
     assert wg.weights[("f", "u")] == 0.0
-    only = mention_retweet_weights(GRAPH, log_of(mention("u", "f"),
-                                                 retweet("f", "u")))
+    only = mention_retweet(GRAPH, log_of(mention("u", "f"), retweet("f", "u")))
     assert only.weights[("u", "f")] == 1.0
+
+
+def test_mention_retweet_rejects_shares_on_different_graphs():
+    log = log_of(mention("u", "f"), retweet("f", "u"))
+    other = StructuralGraph.from_edges([("u", "f")])
+    with pytest.raises(ValueError, match="different graphs"):
+        mention_retweet_weights(mention_share_weights(GRAPH, log),
+                                retweet_share_weights(other, log))
 
 
 class TestHashtagVectors:
@@ -166,7 +178,7 @@ def test_weights_live_on_the_structural_edge_set():
     for wg in (structural_weights(GRAPH),
                mention_share_weights(GRAPH, log),
                retweet_share_weights(GRAPH, log),
-               mention_retweet_weights(GRAPH, log),
+               mention_retweet(GRAPH, log),
                hashtag_similarity_weights(
                    GRAPH, hashtag_tfidf_vectors(log, GRAPH.nodes))):
         assert wg.graph.edges == GRAPH.edges
