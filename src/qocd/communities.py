@@ -132,75 +132,55 @@ def covering_stats(covering: Covering) -> dict:
     }
 
 
-class _FitnessState:
-    """Internal and boundary weight bookkeeping for one growing community."""
+def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
+          alpha: float) -> set[int]:
+    """The node codes of the community grown from ``seed``. ``links[v]``,
+    v's weight to the members, is summed in adjacency order, and again only
+    when a neighbour of v moves, the one change that alters it. The weights
+    are positive, so v has a member neighbour iff ``links[v]`` is above 0."""
+    members: set[int] = set()
+    links: dict[int, float] = {}
+    frontier: set[int] = set()  # the non-members with a member neighbour
 
-    def __init__(self, adjacency, strength, alpha):
-        self.adjacency = adjacency
-        self.strength = strength
-        self.alpha = alpha
-        self.members: set[str] = set()
-        self.w_in = 0.0
-        self.w_bnd = 0.0
-
-    def fitness(self, w_in=None, w_bnd=None) -> float:
-        w_in = self.w_in if w_in is None else w_in
-        w_bnd = self.w_bnd if w_bnd is None else w_bnd
+    def fitness(w_in: float, w_bnd: float) -> float:
         total = w_in + w_bnd
-        if total <= 0:
-            return 0.0
-        return w_in / total ** self.alpha
+        return 0.0 if total <= 0 else w_in / total ** alpha
 
-    def _link_to_members(self, node: str, exclude: str | None = None) -> float:
-        return sum(w for nbr, w in self.adjacency[node].items()
-                   if nbr in self.members and nbr != exclude)
+    def move(v: int) -> None:  # v joins, or leaves if it is a member
+        nonlocal w_in, w_bnd
+        sign = -1 if v in members else 1
+        linked = links.get(v, 0)  # v is not its own neighbour: no self-loops
+        w_in += sign * linked
+        w_bnd += sign * (strength[v] - 2 * linked)
+        members.symmetric_difference_update((v,))
+        for u in adjacency[v]:
+            links[u] = sum(w for x, w in adjacency[u].items() if x in members)
+        for u in (v, *adjacency[v]):
+            (frontier.add if links.get(u) and u not in members
+             else frontier.discard)(u)
 
-    def fitness_with(self, node: str) -> float:
-        linked = self._link_to_members(node)
-        w_in = self.w_in + linked
-        w_bnd = self.w_bnd - linked + (self.strength[node] - linked)
-        return self.fitness(w_in, w_bnd)
-
-    def fitness_without(self, node: str) -> float:
-        linked = self._link_to_members(node, exclude=node)
-        w_in = self.w_in - linked
-        w_bnd = self.w_bnd - (self.strength[node] - linked) + linked
-        return self.fitness(w_in, w_bnd)
-
-    def add(self, node: str) -> None:
-        linked = self._link_to_members(node)
-        self.w_in += linked
-        self.w_bnd += self.strength[node] - 2 * linked
-        self.members.add(node)
-
-    def remove(self, node: str) -> None:
-        self.members.discard(node)
-        linked = self._link_to_members(node)
-        self.w_in -= linked
-        self.w_bnd -= self.strength[node] - 2 * linked
-
-    def frontier(self) -> list[str]:
-        out = set()
-        for member in self.members:
-            out.update(n for n in self.adjacency[member] if n not in self.members)
-        return sorted(out)
-
-
-def _positive_adjacency(wg: WeightedDigraph):
-    """Symmetric neighbor->weight maps, pooling both edge directions and
-    ignoring zero-weight edges. The maps fill in edge order, so every float
-    sum over one runs in the same order under any hash seed."""
-    nodes = wg.graph.nodes
-    adjacency: dict[str, dict[str, float]] = {node: {} for node in nodes}
-    positive = wg.values > 0
-    for s, d, w in zip(wg.graph.src[positive].tolist(),
-                       wg.graph.dst[positive].tolist(),
-                       wg.values[positive].tolist()):
-        v, u = nodes[s], nodes[d]
-        adjacency[v][u] = adjacency[v].get(u, 0.0) + w
-        adjacency[u][v] = adjacency[u].get(v, 0.0) + w
-    strength = {node: sum(nbrs.values()) for node, nbrs in adjacency.items()}
-    return adjacency, strength
+    w_in = w_bnd = 0.0
+    move(seed)
+    while True:  # a failed join ends it: the last shedding left nothing to shed
+        best, joiner = fitness(w_in, w_bnd), None
+        for v in sorted(frontier):
+            linked = links[v]
+            f = fitness(w_in + linked, w_bnd - linked + (strength[v] - linked))
+            if f > best:
+                best, joiner = f, v
+        if joiner is None:
+            return members
+        move(joiner)
+        while True:
+            best, leaver = fitness(w_in, w_bnd), None
+            for v in sorted(members - {seed}):
+                linked = links[v]
+                f = fitness(w_in - linked, w_bnd - (strength[v] - linked) + linked)
+                if f > best:
+                    best, leaver = f, v
+            if leaver is None:
+                break
+            move(leaver)
 
 
 def detect_communities(wg: WeightedDigraph,
@@ -209,58 +189,36 @@ def detect_communities(wg: WeightedDigraph,
 
     Fitness of a node set C is w_in / (w_in + w_bnd)^alpha, where w_in sums
     edge weights inside C (either direction) and w_bnd those crossing its
-    boundary. Seeds are taken in descending total incident weight (ties by
-    id), skipping nodes already covered. Each seed grows by the single best
-    strictly-improving neighbor, then sheds any member (never the seed) whose
+    boundary (Lancichinetti, Fortunato & Kertesz 2009). Seeds are taken in
+    descending total incident weight (ties by id), skipping nodes already
+    covered. Each seed grows by the single best strictly-improving neighbor
+    (ties to the first id), then sheds any member (never the seed) whose
     removal strictly improves fitness, until no move helps. Communities that
     end at one node become singletons. The procedure is deterministic.
+
+    Both edge directions pool into one neighbour -> weight dict per node
+    code, filled in edge order, so every float sum runs in one order.
     """
-    adjacency, strength = _positive_adjacency(wg)
-    universe = wg.graph.nodes
-    if not any(s > 0 for s in strength.values()):
+    nodes = wg.graph.nodes
+    adjacency: list[dict[int, float]] = [{} for _ in nodes]
+    positive = wg.values > 0
+    for v, u, w in zip(wg.graph.src[positive].tolist(),
+                       wg.graph.dst[positive].tolist(),
+                       wg.values[positive].tolist()):
+        adjacency[v][u] = adjacency[v].get(u, 0.0) + w
+        adjacency[u][v] = adjacency[u].get(v, 0.0) + w
+    strength = [sum(nbrs.values()) for nbrs in adjacency]
+    if not any(s > 0 for s in strength):
         warnings.warn("no positive-weight edges; covering is all singletons")
-        return Covering(universe=universe, communities=())
+        return Covering(universe=nodes, communities=())
 
-    seeds = sorted(wg.graph.nodes, key=lambda n: (-strength[n], n))
-    covered: set[str] = set()
-    communities: list[frozenset[str]] = []
-    known = set()
-
-    for seed in seeds:
+    covered: set[int] = set()
+    communities = []  # each holds its uncovered seed, so none repeats
+    for seed in sorted(range(len(nodes)), key=lambda v: (-strength[v], v)):
         if seed in covered or strength[seed] <= 0:
             continue
-        state = _FitnessState(adjacency, strength, params.alpha)
-        state.add(seed)
-        while True:
-            moved = False
-            current = state.fitness()
-            best_gain, best_node = current, None
-            for node in state.frontier():
-                f = state.fitness_with(node)
-                if f > best_gain:
-                    best_gain, best_node = f, node
-            if best_node is not None:
-                state.add(best_node)
-                moved = True
-            while True:
-                current = state.fitness()
-                best_gain, worst = current, None
-                for node in sorted(state.members):
-                    if node == seed:
-                        continue
-                    f = state.fitness_without(node)
-                    if f > best_gain:
-                        best_gain, worst = f, node
-                if worst is None:
-                    break
-                state.remove(worst)
-                moved = True
-            if not moved:
-                break
-        found = frozenset(state.members)
-        covered.update(found)
-        if len(found) >= 2 and found not in known:
-            known.add(found)
-            communities.append(found)
-
-    return Covering(universe=universe, communities=tuple(communities))
+        members = _grow(seed, adjacency, strength, params.alpha)
+        covered.update(members)
+        if len(members) >= 2:
+            communities.append(frozenset(nodes[v] for v in members))
+    return Covering(universe=nodes, communities=tuple(communities))

@@ -23,6 +23,20 @@ _COLUMNS = {"kind": np.uint8, "actor": np.int32, "target": np.int32,
             "ts": np.int64, "tag_ptr": np.int64, "tag_ids": np.int32}
 
 
+def _exact_cast(column, dtype) -> np.ndarray:
+    """A new ``dtype`` array of ``column``; ValueError if the cast would change
+    a value (one out of range, or a fraction), where numpy would wrap it."""
+    given = np.asarray(column)
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = given.astype(dtype)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"column does not fit {np.dtype(dtype)}") from exc
+    if (cast != given).any():
+        raise ValueError(f"column values do not fit {np.dtype(dtype)}")
+    return cast
+
+
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """Parsed events as read-only columns in input order, plus the count of
@@ -51,7 +65,7 @@ class EventLog:
             if list(names) != sorted(set(names)):
                 raise ValueError(f"event log {name} must be sorted and unique")
             object.__setattr__(self, name, names)
-        cols = {name: np.array(getattr(self, name), dtype=dtype)
+        cols = {name: _exact_cast(getattr(self, name), dtype)
                 for name, dtype in _COLUMNS.items()}
         kind, actor, target, ts, ptr, tag_ids = cols.values()
         if any(a.ndim != 1 for a in cols.values()) or not (
@@ -116,7 +130,7 @@ class StructuralGraph:
         nodes = tuple(self.nodes)
         if list(nodes) != sorted(set(nodes)):
             raise ValueError("graph nodes must be sorted and unique")
-        src, dst = (np.array(a, dtype=np.int32) for a in (self.src, self.dst))
+        src, dst = (_exact_cast(a, np.int32) for a in (self.src, self.dst))
         if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("src and dst must be 1-D arrays of equal length")
         if len(src) and (min(src.min(), dst.min()) < 0

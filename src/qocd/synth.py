@@ -63,11 +63,13 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.p_in <= self.p_out:
             raise ValueError("planted structure needs p_in > p_out")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
         cross_eps = self.epsilon if self.cross_epsilon is None else self.cross_epsilon
-        if cross_eps < 0:
-            raise ValueError("cross_epsilon must be non-negative")
+        amounts = {name: getattr(self, name) for name in (
+            "epsilon", "mention_events", "retweet_events", "influence_in_degree",
+            "cross_influencers", "cross_span", "hashtag_pool", "shared_pool")}
+        for name, value in dict(amounts, cross_epsilon=cross_eps).items():
+            if not 0 <= value < np.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.rho + max(self.epsilon, cross_eps) > 1.0:
             raise ValueError("rho plus the largest coupling must not exceed 1")
         if self.communities < 1 or self.nodes < 2 * self.communities:

@@ -239,6 +239,115 @@ def loop_weight_ccdf(values) -> tuple:
                  for w in sorted(set(values)))
 
 
+
+class _FitnessState:
+    """Internal and boundary weight of one growing community, with every
+    link sum recomputed from scratch."""
+
+    def __init__(self, adjacency, strength, alpha):
+        self.adjacency = adjacency
+        self.strength = strength
+        self.alpha = alpha
+        self.members = set()
+        self.w_in = 0.0
+        self.w_bnd = 0.0
+
+    def fitness(self, w_in=None, w_bnd=None) -> float:
+        w_in = self.w_in if w_in is None else w_in
+        w_bnd = self.w_bnd if w_bnd is None else w_bnd
+        total = w_in + w_bnd
+        if total <= 0:
+            return 0.0
+        return w_in / total ** self.alpha
+
+    def _link_to_members(self, node, exclude=None) -> float:
+        return sum(w for nbr, w in self.adjacency[node].items()
+                   if nbr in self.members and nbr != exclude)
+
+    def fitness_with(self, node) -> float:
+        linked = self._link_to_members(node)
+        w_in = self.w_in + linked
+        w_bnd = self.w_bnd - linked + (self.strength[node] - linked)
+        return self.fitness(w_in, w_bnd)
+
+    def fitness_without(self, node) -> float:
+        linked = self._link_to_members(node, exclude=node)
+        w_in = self.w_in - linked
+        w_bnd = self.w_bnd - (self.strength[node] - linked) + linked
+        return self.fitness(w_in, w_bnd)
+
+    def add(self, node) -> None:
+        linked = self._link_to_members(node)
+        self.w_in += linked
+        self.w_bnd += self.strength[node] - 2 * linked
+        self.members.add(node)
+
+    def remove(self, node) -> None:
+        self.members.discard(node)
+        linked = self._link_to_members(node)
+        self.w_in -= linked
+        self.w_bnd -= self.strength[node] - 2 * linked
+
+    def frontier(self) -> list:
+        out = set()
+        for member in self.members:
+            out.update(n for n in self.adjacency[member] if n not in self.members)
+        return sorted(out)
+
+
+def loop_detect_communities(wg, alpha: float = 1.0) -> tuple:
+    """The greedy LFM-style detector on string-keyed dicts, read from the
+    ``wg.weights`` mapping: the communities of ``detect_communities``, in
+    order. Every frontier and every link sum is rebuilt at every step."""
+    adjacency = {}
+    for (v, u), w in wg.weights.items():  # edge order
+        if w > 0:
+            adjacency.setdefault(v, {})
+            adjacency.setdefault(u, {})
+            adjacency[v][u] = adjacency[v].get(u, 0.0) + w
+            adjacency[u][v] = adjacency[u].get(v, 0.0) + w
+    strength = {node: sum(nbrs.values()) for node, nbrs in adjacency.items()}
+    covered = set()
+    communities = []
+    known = set()
+    for seed in sorted(adjacency, key=lambda n: (-strength[n], n)):
+        if seed in covered or strength[seed] <= 0:
+            continue
+        state = _FitnessState(adjacency, strength, alpha)
+        state.add(seed)
+        while True:
+            moved = False
+            current = state.fitness()
+            best_gain, best_node = current, None
+            for node in state.frontier():
+                f = state.fitness_with(node)
+                if f > best_gain:
+                    best_gain, best_node = f, node
+            if best_node is not None:
+                state.add(best_node)
+                moved = True
+            while True:
+                current = state.fitness()
+                best_gain, worst = current, None
+                for node in sorted(state.members):
+                    if node == seed:
+                        continue
+                    f = state.fitness_without(node)
+                    if f > best_gain:
+                        best_gain, worst = f, node
+                if worst is None:
+                    break
+                state.remove(worst)
+                moved = True
+            if not moved:
+                break
+        found = frozenset(state.members)
+        covered.update(found)
+        if len(found) >= 2 and found not in known:
+            known.add(found)
+            communities.append(found)
+    return tuple(communities)
+
 def reachable(edges, start) -> set:
     """Nodes reachable from start by BFS over a directed edge set."""
     adjacency = {}

@@ -361,6 +361,12 @@ def test_weight_builds_each_share_once(dataset, ingested, tmp_path,
     ["--bins", "0"],
     ["--rho", "2"],
     ["--p-in", "1.5"],
+    ["--epsilon", "nan"],
+    ["--cross-epsilon", "nan"],
+    ["--mention-events", "-1"],
+    ["--retweet-events", "-2"],
+    ["--influence-in-degree", "-3"],
+    ["--cross-span", "-1"],
 ])
 def test_synth_bad_config_exits_one_before_output(tmp_path, capsys, flags):
     out = tmp_path / "out"

@@ -8,6 +8,8 @@ from qocd.communities import (Covering, FitnessParams, covering_stats,
                               write_covering)
 from qocd.weighting import WeightedDigraph
 
+from oracles import loop_detect_communities
+
 
 def wdg(edge_weights, nodes=()):
     return WeightedDigraph.from_mapping(dict(edge_weights), "test", nodes)
@@ -230,3 +232,47 @@ class TestDetect:
         tight = detect_communities(wdg(weights), FitnessParams(alpha=1.5))
         assert max(len(c) for c in tight.communities) <= \
             max(len(c) for c in loose.communities)
+
+
+TIED = (0.0, 0.25, 0.5, 1.0, 1.0 / 3.0)  # a zero weight among the ties
+
+
+def random_weights(seed):
+    """One seeded weighted graph: planted blocks or none, reciprocal pairs,
+    tied or random weights, zero weights, isolated nodes, and every 40th
+    table all zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    nodes = [f"v{i:02d}" for i in range(n)]
+    block = rng.integers(int(rng.integers(1, 5)), size=n)
+    p_in, p_out = rng.uniform(0.1, 0.7), rng.uniform(0.0, 0.15)
+    tied = rng.random() < 0.5
+    weights = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < (p_in if block[i] == block[j] else p_out):
+                w = (TIED[rng.integers(len(TIED))] if tied
+                     else 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2.0))
+                weights[(nodes[i], nodes[j])] = float(w)
+    if seed % 40 == 0:
+        weights = dict.fromkeys(weights, 0.0)
+    isolated = [f"w{i}" for i in range(int(rng.integers(0, 3)))]
+    return wdg(weights, nodes=nodes + isolated)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_detector_matches_the_loop_oracle(alpha):
+    """Same communities in the same order as the dict-and-rescan detector,
+    on 300 seeded graphs per alpha."""
+    grown = 0
+    for seed in range(300):
+        wg = random_weights(seed)
+        expected = loop_detect_communities(wg, alpha)
+        if (wg.values > 0).any():
+            found = detect_communities(wg, FitnessParams(alpha))
+        else:
+            with pytest.warns(UserWarning, match="no positive-weight"):
+                found = detect_communities(wg, FitnessParams(alpha))
+        assert found.communities == expected, seed
+        grown += sum(len(c) > 3 for c in expected)
+    assert grown > 50  # enough multi-step growth to exercise the link cache

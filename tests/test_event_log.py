@@ -151,6 +151,10 @@ def test_valid_columns_build_a_log():
     {"tag_ptr": [0, 0, 1]},                  # a tag on the mention
     {"tag_ids": [1]},                        # a tag outside tags
     {"tag_ptr": [1, 1, 1]},                  # tag_ptr not from 0
+    {"kind": np.array([256, 1])},            # a kind numpy would wrap to 0
+    {"actor": np.array([2**32, 1])},         # an actor numpy would wrap to 0
+    {"kind": [256, 1]},                      # the same kind as a list
+    {"actor": [0.5, 1]},                     # a fractional code
 ])
 def test_malformed_columns_are_rejected(changes):
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from qocd.ingest import (StructuralGraph, combine_reports,
@@ -72,6 +73,16 @@ def graph_of(*edges, extra_nodes=()):
 def test_structural_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         StructuralGraph.from_edges([("a", "a")])
+
+
+@pytest.mark.parametrize("src", [
+    np.array([2**32]),  # numpy would wrap it to node 0
+    [2**32],
+    [0.5],              # a fractional code
+])
+def test_structural_graph_rejects_codes_a_cast_would_change(src):
+    with pytest.raises(ValueError):
+        StructuralGraph(("a", "b"), src, [1])
 
 
 class TestInformationEvents:
