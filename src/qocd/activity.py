@@ -9,13 +9,13 @@ model).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import POST, RETWEET, EventLog, StructuralGraph
+from .ingest import (POST, RETWEET, EventLog, StructuralGraph, write_csv,
+                     write_json)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +97,12 @@ def write_series_csv(activity: ActivityMatrix, path) -> dict:
     the header is also returned.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, bits in zip(activity.nodes, activity.bits):
-            fh.write(node + "," + ",".join(map(str, bits.tolist())) + "\n")
+    write_csv(path, None, ([node, *bits] for node, bits
+                           in zip(activity.nodes, activity.bits.tolist())))
     if activity.nodes:
         header = {"bin_width": activity.bin_width, "origin": activity.origin,
                   "length": activity.bits.shape[1]}
     else:
         header = {"bin_width": None, "origin": None, "length": 0}
-    path.with_suffix(".json").write_text(
-        json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path.with_suffix(".json"), header)
     return header

@@ -16,7 +16,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy
@@ -31,8 +31,8 @@ from .edgestats import (ConditionalWeightReport, EdgeClass, conditional_weights,
 from .infotheory import MAX_LAG
 from .ingest import (check_ids, combine_reports, count_information_events,
                      filter_active, giant_scc, read_events, read_follow_edges,
-                     write_follow_edges)
-from .synth import (SynthConfig, config_to_json, generate, write_events_jsonl,
+                     write_csv, write_follow_edges, write_json)
+from .synth import (SynthConfig, generate, write_events_jsonl,
                     write_influence_edges)
 from .weighting import (WeightedDigraph, hashtag_similarity_weights,
                         hashtag_tfidf_vectors, mention_retweet_weights,
@@ -81,14 +81,10 @@ def _fmt(value: float) -> str:
 
 
 def write_weight_table(wg: WeightedDigraph, path: Path, meta: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "target", "weight"])
-        writer.writerows((v, u, _fmt(w)) for (v, u), w
-                         in zip(wg.graph.edges, wg.values.tolist()))
-    sidecar = dict(meta, scheme=wg.scheme)
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_csv(path, ["source", "target", "weight"],
+              ((v, u, _fmt(w)) for (v, u), w
+               in zip(wg.graph.edges, wg.values.tolist())))
+    write_json(path.with_suffix(".json"), dict(meta, scheme=wg.scheme))
 
 
 def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
@@ -103,6 +99,9 @@ def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"bad weight row in {path}: {row!r}")
+            if (row[0], row[1]) in weights:
+                raise ValueError(f"repeated edge in {path} at line "
+                                 f"{reader.line_num}: {row!r}")
             weights[(row[0], row[1])] = float(row[2])
     wg = WeightedDigraph.from_mapping(weights, scheme)
     check_ids(wg.graph.nodes)
@@ -131,13 +130,12 @@ def cmd_synth(args) -> int:
         sys.stderr.write(f"qocd synth: error: {exc}\n")
         return 1
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     log, graph, truth = generate(cfg)
     write_events_jsonl(log, out / "events.jsonl")
     write_follow_edges(graph, out / "follows.csv")
     write_covering(truth.covering, out / "planted_covering.txt")
     write_influence_edges(truth, out / "planted_influence.csv")
-    (out / "config.json").write_text(config_to_json(cfg), encoding="utf-8")
+    write_json(out / "config.json", asdict(cfg))
     print(f"synth: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{len(log)} events -> {out}")
     return 0
@@ -153,9 +151,8 @@ def _run_ingest(events_path: Path, follows_path: Path, out: Path,
         raise ValueError("no users survive the activity filter")
     final_graph, scc_report = giant_scc(active_graph)
     report = combine_reports(active_report, scc_report)
-    out.mkdir(parents=True, exist_ok=True)
     write_follow_edges(final_graph, out / "graph.csv")
-    (out / "filter_report.json").write_text(report.to_json(), encoding="utf-8")
+    write_json(out / "filter_report.json", report.to_dict())
     return log, final_graph, report
 
 
@@ -180,7 +177,6 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
     activity; TE sidecars add the lag and the hashtag one the tf-idf log
     base. ``series_csv``, if given, receives the activity series.
     """
-    out.mkdir(parents=True, exist_ok=True)
     retweets = not args.no_retweet_activity
     meta = {"bin_width": args.bin_width, "retweets_count_as_activity": retweets}
     built: list[tuple[WeightedDigraph, dict]] = []
@@ -234,7 +230,6 @@ def cmd_detect(args) -> int:
     wg = read_weight_table(Path(args.weights))
     covering = detect_communities(wg, FitnessParams(alpha=args.alpha))
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_covering(covering, out)
     stats = covering_stats(covering)
     print(f"detect: {stats['communities']} communities, "
@@ -266,76 +261,62 @@ def cmd_compare(args) -> int:
     coverings = _read_coverings(args.coverings, graph.nodes)
     labels, matrix = nmi_matrix(coverings)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_nmi_csv(labels, matrix, out)
     print(f"compare: {len(labels)} coverings -> {out}")
     return 0
 
 
 def _write_nmi_csv(labels, matrix, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("covering," + ",".join(labels) + "\n")
-        for i, label in enumerate(labels):
-            fh.write(label + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
+    write_csv(path, ["covering", *labels],
+              ([label, *map(_fmt, row)] for label, row in zip(labels, matrix)))
 
 
-def _run_edges(wg: WeightedDigraph, covering: Covering, label: str,
-               bins: int, out: Path) -> int:
-    """Partition the edges of ``wg`` by ``covering`` and write the report of
-    their conditional weights to ``out``; returns the number of edges."""
-    classes = partition_edges(wg, covering)
+def _run_edges(wg: WeightedDigraph, classes: tuple[EdgeClass, ...],
+               label: str, bins: int, out: Path) -> None:
+    """Write the report of the weights of ``wg`` conditional on its edge
+    ``classes`` under the covering ``label`` to ``out``."""
     report = conditional_weights(wg, classes, bins=bins)
     _write_edge_report(report, out, {"covering": label, "weights": wg.scheme})
-    return len(classes)
 
 
 def _write_edge_report(report: ConditionalWeightReport, out: Path,
                        context: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("class,count,median\n")
-        for cls in EdgeClass:
-            stats = report.per_class[cls]
-            median = "" if stats.median is None else _fmt(stats.median)
-            fh.write(f"{cls.value},{stats.count},{median}\n")
-    summary = dict(context, **report.to_summary())
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    for cls in EdgeClass:
-        with open(out / f"ccdf_{cls.value}.csv", "w", encoding="utf-8") as fh:
-            fh.write("weight,proportion\n")
-            for w, p in report.per_class[cls].ccdf:
-                fh.write(f"{_fmt(w)},{_fmt(p)}\n")
+    per_class = [(cls.value, report.per_class[cls]) for cls in EdgeClass]
+    write_csv(out / "summary.csv", ["class", "count", "median"],
+              ((name, stats.count,
+                "" if stats.median is None else _fmt(stats.median))
+               for name, stats in per_class))
+    write_json(out / "summary.json", dict(context, **report.to_summary()))
+    for name, stats in per_class:
+        write_csv(out / f"ccdf_{name}.csv", ["weight", "proportion"],
+                  ((_fmt(w), _fmt(p)) for w, p in stats.ccdf))
 
 
 def cmd_edges(args) -> int:
     wg = read_weight_table(Path(args.weights))
     path = Path(args.covering)
-    count = _run_edges(wg, read_covering(path, wg.graph.nodes),
-                       _covering_label(path), args.hist_bins, Path(args.output))
-    print(f"edges: {count} edges partitioned -> {args.output}")
+    classes = partition_edges(wg, read_covering(path, wg.graph.nodes))
+    _run_edges(wg, classes, _covering_label(path), args.hist_bins,
+               Path(args.output))
+    print(f"edges: {len(classes)} edges partitioned -> {args.output}")
     return 0
 
 
 def _write_report(coverings: dict[str, Covering], tables, out: Path) -> None:
     """``covering_stats.csv`` and ``size_ccdf_<label>.csv`` per covering, in
     label order, plus ``orphans.csv`` over ``tables`` in the order given."""
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "covering_stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("covering,communities,singletons\n")
-        for label in sorted(coverings):
-            stats = covering_stats(coverings[label])
-            fh.write(f"{label},{stats['communities']},{stats['singletons']}\n")
-    for label in sorted(coverings):
-        with open(out / f"size_ccdf_{label}.csv", "w", encoding="utf-8") as fh:
-            fh.write("size,proportion\n")
-            for s, p in size_ccdf(coverings[label]):
-                fh.write(f"{s},{_fmt(p)}\n")
+    labels = sorted(coverings)
+    stats = [covering_stats(coverings[label]) for label in labels]
+    write_csv(out / "covering_stats.csv",
+              ["covering", "communities", "singletons"],
+              ((label, s["communities"], s["singletons"])
+               for label, s in zip(labels, stats)))
+    for label in labels:
+        write_csv(out / f"size_ccdf_{label}.csv", ["size", "proportion"],
+                  ((s, _fmt(p)) for s, p in size_ccdf(coverings[label])))
     if tables:
-        with open(out / "orphans.csv", "w", encoding="utf-8") as fh:
-            fh.write("scheme,orphans\n")
-            for wg in tables:
-                fh.write(f"{wg.scheme},{len(orphans(wg))}\n")
+        write_csv(out / "orphans.csv", ["scheme", "orphans"],
+                  ((wg.scheme, len(orphans(wg))) for wg in tables))
 
 
 def cmd_report(args) -> int:
@@ -356,24 +337,24 @@ def cmd_pipeline(args) -> int:
     tables = _run_weights(log, graph, args, SCHEMES,
                           range(1, args.max_lag + 1), out / "weights")
 
-    coverings_dir = out / "coverings"
-    coverings_dir.mkdir(parents=True, exist_ok=True)
     coverings: dict[str, Covering] = {}
     params = FitnessParams(alpha=args.alpha)
     for name, wg in tables.items():
         coverings[name] = detect_communities(wg, params)
-        write_covering(coverings[name], coverings_dir / f"covering_{name}.txt")
+        write_covering(coverings[name],
+                       out / "coverings" / f"covering_{name}.txt")
 
-    compare_dir = out / "compare"
-    compare_dir.mkdir(parents=True, exist_ok=True)
     labels, matrix = nmi_matrix(coverings)
-    _write_nmi_csv(labels, matrix, compare_dir / "nmi_matrix.csv")
+    _write_nmi_csv(labels, matrix, out / "compare" / "nmi_matrix.csv")
 
+    # every table weights the one ingested graph, so the edge classes of a
+    # covering are the same under each weighting
     featured = f"te_lag{args.featured_lag}"
     for cov_name in ("structural", featured, "hashtag", "mention_retweet"):
+        classes = partition_edges(tables[featured], coverings[cov_name])
         for wt_name in (featured, "hashtag", "mention_retweet"):
-            _run_edges(tables[wt_name], coverings[cov_name], cov_name,
-                       args.hist_bins, out / "edges" / f"{cov_name}__{wt_name}")
+            _run_edges(tables[wt_name], classes, cov_name, args.hist_bins,
+                       out / "edges" / f"{cov_name}__{wt_name}")
 
     _write_report(coverings, tables.values(), out / "report")
 
@@ -402,8 +383,7 @@ def cmd_pipeline(args) -> int:
             "follows.csv": _sha256(follows_path),
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(out / "manifest.json", manifest)
     print(f"pipeline: {len(graph.nodes)} nodes, {len(tables)} weightings, "
           f"{len(coverings)} coverings -> {out}")
     return 0

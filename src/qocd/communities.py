@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .ingest import open_output
 from .weighting import WeightedDigraph
 
 
@@ -117,7 +118,7 @@ def read_covering(path, universe: Iterable[str] | None = None) -> Covering:
 
 def write_covering(covering: Covering, path) -> None:
     """Write one community per line; singletons stay implicit."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for comm in covering.communities:
             fh.write(" ".join(sorted(comm)) + "\n")
 

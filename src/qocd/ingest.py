@@ -4,7 +4,9 @@ Events arrive as JSON lines (one record per line) and follow relations as a
 ``followee,follower`` CSV. Follow edges are stored followee -> follower, the
 direction information travels. Filtering keeps users with enough incoming and
 outgoing information events and then restricts to the giant strongly
-connected component.
+connected component. The module also holds the one output format:
+``open_output``, ``write_csv`` and ``write_json`` open, quote and format
+every file qocd writes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 from array import array
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
@@ -203,11 +206,10 @@ class FilterReport:
     removed_not_in_gscc: frozenset[str] = frozenset()
     thresholds: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         payload = {name: sorted(getattr(self, name)) for name in
                    ("kept", "removed_inactive", "removed_not_in_gscc")}
-        return json.dumps(dict(payload, thresholds=self.thresholds),
-                          sort_keys=True, indent=2) + "\n"
+        return dict(payload, thresholds=self.thresholds)
 
 
 def _parse_record(line: str):
@@ -312,11 +314,34 @@ def read_follow_edges(path) -> StructuralGraph:
     return graph
 
 
-def write_follow_edges(graph: StructuralGraph, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def open_output(path) -> IO[str]:
+    """Open ``path`` for writing as UTF-8 text with ``\\n`` line ends, making
+    its parent directory first: the one way qocd opens an output file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """``header`` (unless None) and ``rows`` in qocd's one CSV dialect:
+    minimal quoting, so a field with a comma, quote or line break is
+    quoted and reads back whole, and ``\\n`` line ends."""
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["followee", "follower"])
-        writer.writerows(graph.edges)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as qocd's one JSON document style: sorted keys, two-space
+    indent and a final newline."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_follow_edges(graph: StructuralGraph, path) -> None:
+    write_csv(path, ["followee", "follower"], graph.edges)
 
 
 def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEventCounts:

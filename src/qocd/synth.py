@@ -12,13 +12,13 @@ pipeline run end to end on known ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .communities import Covering
 from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
-                     StructuralGraph)
+                     StructuralGraph, open_output, write_csv)
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def _interaction_events(rng, kind: int, actor: int, pool_intra: list[int],
 
 
 def write_events_jsonl(log: EventLog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for kind, actor, ts, target, hashtags in log.rows():
             rec: dict = {"kind": kind, "actor": actor, "ts": ts}
             if target is not None:
@@ -261,11 +261,4 @@ def write_events_jsonl(log: EventLog, path) -> None:
 
 
 def write_influence_edges(truth: PlantedTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source,target\n")
-        for src, tgt in sorted(truth.influence_edges):
-            fh.write(f"{src},{tgt}\n")
-
-
-def config_to_json(cfg: SynthConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
+    write_csv(path, ["source", "target"], sorted(truth.influence_edges))

@@ -47,8 +47,8 @@ class WeightedDigraph:
         if values.shape != self.graph.src.shape:
             raise ValueError(f"{values.size} weights for "
                              f"{len(self.graph.src)} edges")
-        if not (values >= 0).all():
-            raise ValueError("weights must be non-negative numbers")
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError("weights must be finite non-negative numbers")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

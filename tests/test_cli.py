@@ -442,6 +442,48 @@ def test_data_errors_exit_two(tmp_path):
                  "-o", str(tmp_path / "c.txt")]) == 2
 
 
+@pytest.mark.parametrize("command", ["detect", "edges"])
+def test_infinite_weight_exits_two(tmp_path, capsys, command):
+    table = tmp_path / "weights_x.csv"
+    table.write_text("source,target,weight\na,b,inf\nb,c,1\nc,a,1\nc,d,0.5\n")
+    covering = tmp_path / "covering_x.txt"
+    covering.write_text("a b c\n")
+    out = tmp_path / "out"
+    argv = [command, "--weights", str(table), "-o", str(out)]
+    if command == "edges":
+        argv += ["--covering", str(covering)]
+    assert main(argv) == 2
+    assert "weights must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weight_table_rejects_a_repeated_edge(tmp_path, capsys):
+    table = tmp_path / "weights_x.csv"
+    table.write_text("source,target,weight\na,b,1\nb,a,2\na,b,5\n")
+    out = tmp_path / "c.txt"
+    assert main(["detect", "--weights", str(table), "-o", str(out)]) == 2
+    assert "repeated edge" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"line 4: \['a', 'b', '5'\]"):
+        read_weight_table(table)
+
+
+def test_pipeline_partitions_each_covering_once(dataset, tmp_path,
+                                                monkeypatch):
+    import qocd.cli
+
+    calls = []
+    real = qocd.cli.partition_edges
+    monkeypatch.setattr(qocd.cli, "partition_edges",
+                        lambda wg, cov: calls.append(cov) or real(wg, cov))
+    assert main(["pipeline", "-i", str(dataset), "-o", str(tmp_path / "out"),
+                 "--threshold", "2", "--max-lag", "2",
+                 "--featured-lag", "2"]) == 0
+    # four featured coverings, each reported under three weightings
+    assert len(calls) == 4
+    assert len(list((tmp_path / "out" / "edges").iterdir())) == 12
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "qocd.cli", "--help"],
                           capture_output=True, text=True)
@@ -472,3 +514,41 @@ def test_tracer_layer_names_exist_in_cli():
     names = [name for group in layers.values() for name in group]
     assert len(names) > 20
     assert [n for n in names if not hasattr(qocd.cli, n)] == []
+
+
+def _output_calls(path: Path):
+    """``(function, call)`` for each call in ``path`` that writes a file,
+    makes a directory or formats an indented JSON document; ``function`` is
+    the enclosing top-level function's name, or None."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = (node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"),
+                    ast.Constant("r")))
+                # a mode the walk cannot read counts as a write
+                if (not isinstance(mode, ast.Constant)
+                        or set(mode.value) & set("wax+")):
+                    yield name, node
+            elif isinstance(func, ast.Attribute) and (
+                    func.attr in ("write_text", "write_bytes", "mkdir",
+                                  "makedirs")
+                    or func.attr == "dumps" and any(
+                        kw.arg == "indent" for kw in node.keywords)):
+                yield name, node
+
+
+def test_only_open_output_writes_files():
+    """ingest.open_output is the one opener of output files and maker of
+    directories, and ingest.write_json the one formatter of JSON documents,
+    so every output file shares one CSV dialect and one JSON style."""
+    allowed = {("ingest.py", "open_output"), ("ingest.py", "write_json")}
+    calls = [(path.name, name, call.lineno) for path
+             in sorted(Path(qocd.__file__).resolve().parent.glob("*.py"))
+             for name, call in _output_calls(path)]
+    # equality, not a subset: the walk must find the allowed calls too
+    assert {(file, name) for file, name, _ in calls} == allowed, calls

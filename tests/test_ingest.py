@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -194,7 +193,7 @@ def test_combined_report_partitions_input_nodes():
     parts = [merged.kept, merged.removed_inactive, merged.removed_not_in_gscc]
     assert frozenset().union(*parts) == frozenset(graph.nodes)
     assert sum(len(p) for p in parts) == len(graph.nodes)
-    payload = json.loads(merged.to_json())
+    payload = merged.to_dict()
     assert set(payload) == {"kept", "removed_inactive", "removed_not_in_gscc",
                             "thresholds"}
 

@@ -5,6 +5,7 @@ the only ids left out are those ``check_ids`` rejects, except in the event
 log, which takes any non-empty id.
 """
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -12,8 +13,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qocd.cli import read_weight_table, write_weight_table
-from qocd.communities import Covering, read_covering, write_covering
+from qocd.activity import ActivityMatrix, write_series_csv
+from qocd.cli import (_write_nmi_csv, _write_report, read_weight_table,
+                      write_weight_table)
+from qocd.communities import (Covering, covering_stats, read_covering,
+                              write_covering)
 from qocd.ingest import (StructuralGraph, check_ids, parse_events, read_events,
                          read_follow_edges, write_follow_edges)
 from qocd.synth import SynthConfig, generate, write_events_jsonl
@@ -80,6 +84,64 @@ def test_covering_file_round_trip(data):
     assert back == covering
     for name in ("sizes", "indptr", "rows"):
         assert np.array_equal(getattr(back, name), getattr(covering, name))
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@ROUND_TRIPS
+@given(st.sets(ids, min_size=1, max_size=8), st.data())
+def test_activity_series_round_trip(nodes, data):
+    nodes = sorted(nodes)
+    length = data.draw(st.integers(1, 5))
+    bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=length,
+                                       max_size=length),
+                              min_size=len(nodes), max_size=len(nodes)))
+    activity = ActivityMatrix(nodes, np.array(bits), 600, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "activity_series.csv"
+        write_series_csv(activity, path)
+        rows = read_csv(path)
+    assert rows == [[node, *map(str, row)] for node, row in zip(nodes, bits)]
+
+
+@ROUND_TRIPS
+@given(st.lists(ids, min_size=1, max_size=4, unique=True), st.data())
+def test_nmi_matrix_round_trip(labels, data):
+    labels = sorted(labels)
+    size = len(labels)
+    matrix = np.array(data.draw(st.lists(weights, min_size=size * size,
+                                         max_size=size * size)))
+    matrix = matrix.reshape(size, size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nmi_matrix.csv"
+        _write_nmi_csv(labels, matrix, path)
+        rows = read_csv(path)
+    assert rows[0] == ["covering", *labels]
+    assert [row[0] for row in rows[1:]] == labels
+    assert [[float(v) for v in row[1:]] for row in rows[1:]] == matrix.tolist()
+
+
+# a label also names a size_ccdf_<label>.csv file
+file_labels = ids.filter(lambda label: "/" not in label and "\0" not in label)
+
+
+@ROUND_TRIPS
+@given(st.lists(file_labels, min_size=1, max_size=4, unique=True))
+def test_covering_stats_round_trip(labels):
+    universe = [f"u{i}" for i in range(8)]
+    coverings = {label: Covering(universe=universe, communities=tuple(
+        frozenset(universe[j:j + 2]) for j in range(0, 2 * i, 2)))
+        for i, label in enumerate(labels)}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_report(coverings, [], Path(tmp))
+        rows = read_csv(Path(tmp) / "covering_stats.csv")
+    stats = {label: covering_stats(c) for label, c in coverings.items()}
+    assert rows == [["covering", "communities", "singletons"]] + [
+        [label, str(stats[label]["communities"]),
+         str(stats[label]["singletons"])] for label in sorted(labels)]
 
 
 LOG_COLUMNS = ("ids", "kind", "actor", "target", "ts", "tags", "tag_ptr",

@@ -202,3 +202,11 @@ class TestOrphans:
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
         WeightedDigraph.from_mapping({("a", "b"): -0.1}, scheme="bad")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_weights_rejected(bad):
+    # an infinite weight made every fitness it touched NaN in detection
+    with pytest.raises(ValueError, match="finite non-negative"):
+        WeightedDigraph.from_mapping({("a", "b"): bad, ("b", "a"): 1.0},
+                                     scheme="bad")
