@@ -102,7 +102,14 @@ def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
             if (row[0], row[1]) in weights:
                 raise ValueError(f"repeated edge in {path} at line "
                                  f"{reader.line_num}: {row!r}")
-            weights[(row[0], row[1])] = float(row[2])
+            try:
+                weight = float(row[2])
+            except ValueError:
+                weight = math.nan
+            if not 0 <= weight < math.inf:  # also rejects NaN
+                raise ValueError(f"weights must be finite non-negative numbers"
+                                 f"; {path} line {reader.line_num}: {row!r}")
+            weights[(row[0], row[1])] = weight
     wg = WeightedDigraph.from_mapping(weights, scheme)
     check_ids(wg.graph.nodes)
     return wg
@@ -120,10 +127,9 @@ def _sha256(path: Path) -> str:
 
 
 def cmd_synth(args) -> int:
-    # every synth flag but --overlap is named after its config field
     names = {f.name for f in fields(SynthConfig)}
-    cfg = SynthConfig(overlap_fraction=args.overlap, **{
-        name: value for name, value in vars(args).items() if name in names})
+    cfg = SynthConfig(**{name: value for name, value in vars(args).items()
+                         if name in names})
     try:
         cfg.validate()
     except ValueError as exc:  # a bad flag: exit 1 before any output
@@ -399,26 +405,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    # every default lives in SynthConfig; only given flags reach it
+    p = sub.add_parser("synth", help="generate a synthetic dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--communities", type=int, default=8)
-    p.add_argument("--overlap", type=float, default=0.0)
-    p.add_argument("--p-in", type=float, default=0.3)
-    p.add_argument("--p-out", type=float, default=0.02)
-    p.add_argument("--epsilon", type=float, default=0.4)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--bins", type=int, default=9072)
-    p.add_argument("--bin-width", type=_positive_int, default=600)
-    p.add_argument("--influence-in-degree", type=int, default=4)
-    p.add_argument("--influence-lag", type=int, default=1)
-    p.add_argument("--cross-influencers", type=int, default=0)
-    p.add_argument("--cross-span", type=int, default=3)
-    p.add_argument("--cross-epsilon", type=float, default=None)
-    p.add_argument("--mention-events", type=float, default=12.0)
-    p.add_argument("--retweet-events", type=float, default=12.0)
-    p.add_argument("--interaction-intra-bias", type=float, default=0.9)
+    for flag in ("--seed", "--nodes", "--communities", "--bins",
+                 "--influence-in-degree", "--influence-lag",
+                 "--cross-influencers", "--cross-span"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--bin-width", type=_positive_int)
+    p.add_argument("--overlap", type=float, dest="overlap_fraction")
+    for flag in ("--p-in", "--p-out", "--epsilon", "--rho", "--cross-epsilon",
+                 "--mention-events", "--retweet-events",
+                 "--interaction-intra-bias"):
+        p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, filter, and restrict the graph")

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .communities import Covering
 from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
                      StructuralGraph, open_output, write_csv)
+
+
+# the paper's scale; the dense follow draw holds about 18 B per node pair
+MAX_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,8 @@ class SynthConfig:
             raise ValueError("rho plus the largest coupling must not exceed 1")
         if self.communities < 1 or self.nodes < 2 * self.communities:
             raise ValueError("need at least two nodes per community")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
         if self.bins < 2 or self.bin_width < 1:
             raise ValueError("need at least two bins of positive width")
         if not 1 <= self.influence_lag < self.bins:
@@ -97,24 +104,20 @@ def _node_ids(count: int) -> list[str]:
     return [f"u{i:0{width}d}" for i in range(count)]
 
 
-def _plant_communities(cfg: SynthConfig, ids: list[str],
-                       ) -> tuple[list[frozenset[str]], list[set[int]]]:
-    """Contiguous blocks plus an overlap slice shared with the next block."""
+def _stack(chunks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=np.intp), *chunks])
+
+
+def _plant_communities(cfg: SynthConfig) -> np.ndarray:
+    """The (communities, nodes) membership matrix: contiguous blocks, each
+    sharing its first ``overlap_fraction`` slice with the next block."""
+    member = np.zeros((cfg.communities, cfg.nodes), dtype=bool)
     blocks = np.array_split(np.arange(cfg.nodes), cfg.communities)
-    member_of: list[set[int]] = [set() for _ in range(cfg.nodes)]
-    groups: list[set[int]] = [set(b.tolist()) for b in blocks]
     for c, block in enumerate(blocks):
-        for i in block:
-            member_of[i].add(c)
-    if cfg.communities > 1 and cfg.overlap_fraction > 0:
-        for c, block in enumerate(blocks):
-            extra = int(round(cfg.overlap_fraction * len(block)))
-            nxt = (c + 1) % cfg.communities
-            for i in block[:extra]:
-                groups[nxt].add(int(i))
-                member_of[i].add(nxt)
-    communities = [frozenset(ids[i] for i in g) for g in groups]
-    return communities, member_of
+        member[c, block] = True
+        extra = int(round(cfg.overlap_fraction * len(block)))
+        member[(c + 1) % cfg.communities, block[:extra]] = True
+    return member
 
 
 def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]:
@@ -122,50 +125,50 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     ids = _node_ids(cfg.nodes)
-    communities, member_of = _plant_communities(cfg, ids)
+    member = _plant_communities(cfg)
     n = cfg.nodes
-
-    comm_mask = np.zeros((cfg.communities, n), dtype=bool)
-    for i, member in enumerate(member_of):
-        comm_mask[sorted(member), i] = True
-    shares = (comm_mask.T.astype(np.int8) @ comm_mask.astype(np.int8)) > 0
+    # int8 cannot wrap: a node lies in at most two communities
+    shares = (member.T.astype(np.int8) @ member.astype(np.int8)) > 0
 
     thresholds = np.where(shares, cfg.p_in, cfg.p_out)
     np.fill_diagonal(thresholds, 0.0)
     follow = rng.random((n, n)) < thresholds  # follow[v, u]: u follows v
 
-    cross_eps = cfg.epsilon if cfg.cross_epsilon is None else cfg.cross_epsilon
-    influence_intra = np.zeros((n, n), dtype=bool)  # [target, source]
-    influence_cross = np.zeros((n, n), dtype=bool)
-
+    # influence as (targets, sources) index arrays
+    cross_t, cross_s = [], []
     for c in range(cfg.cross_influencers):
-        src = max(i for i in range(n) if c in member_of[i])
-        targets = [(c + off) % cfg.communities for off in range(1, cfg.cross_span + 1)]
-        for tc in targets:
-            for j in sorted(i for i in range(n) if tc in member_of[i]):
-                if j == src or tc in member_of[src]:
-                    continue
-                if rng.random() < cfg.cross_follow_prob:
-                    follow[src, j] = True
-                    influence_cross[j, src] = True
+        src = np.flatnonzero(member[c])[-1]
+        for off in range(1, cfg.cross_span + 1):
+            tc = (c + off) % cfg.communities
+            if member[tc, src]:
+                continue
+            targets = np.flatnonzero(member[tc])
+            targets = targets[rng.random(len(targets)) < cfg.cross_follow_prob]
+            follow[src, targets] = True
+            cross_t.append(targets)
+            cross_s.append(np.full(len(targets), src))
+    cross = _stack(cross_t), _stack(cross_s)
 
+    intra_t, intra_s = [], []
     for j in range(n):
-        candidates = [i for i in range(n)
-                      if follow[i, j] and shares[i, j] and i != j
-                      and not influence_cross[j, i]]
-        if not candidates or cfg.influence_in_degree < 1:
-            continue
-        take = min(cfg.influence_in_degree, len(candidates))
-        chosen = rng.choice(len(candidates), size=take, replace=False)
-        for idx in sorted(chosen.tolist()):
-            influence_intra[j, candidates[idx]] = True
+        eligible = follow[:, j] & shares[:, j]
+        eligible[cross[1][cross[0] == j]] = False  # already a cross source
+        candidates = np.flatnonzero(eligible)
+        if len(candidates) and cfg.influence_in_degree >= 1:
+            take = min(cfg.influence_in_degree, len(candidates))
+            chosen = rng.choice(len(candidates), size=take, replace=False)
+            intra_t.append(np.full(take, j))
+            intra_s.append(candidates[chosen])
+    intra = _stack(intra_t), _stack(intra_s)
 
-    activity = _draw_activity(cfg, rng, influence_intra, influence_cross, cross_eps)
+    cross_eps = cfg.epsilon if cfg.cross_epsilon is None else cfg.cross_epsilon
+    activity = _draw_activity(cfg, rng, sorted(
+        [(cfg.epsilon, intra), (cross_eps, cross)], key=lambda p: p[0]))
 
     tag_pools = [[f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
                  for c in range(cfg.communities)]
     shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
-    own_pools = [sorted(m) for m in member_of]
+    own_pools = [np.flatnonzero(col).tolist() for col in member.T]
     post_actor, post_bin = np.nonzero(activity)  # node by node, bins rising
     post_tags = []  # "" for a post without one
     for i in post_actor.tolist():
@@ -185,10 +188,10 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     for kind, pools, rate in ((MENTION, follow, cfg.mention_events),
                               (RETWEET, follow.T, cfg.retweet_events)):
         for i in range(n):
-            pool = np.flatnonzero(pools[i]).tolist()
-            intra = [j for j in pool if shares[i, j]]  # shares is symmetric
+            near = pools[i] & shares[i]  # shares is symmetric
             drawn += _interaction_events(
-                rng, kind, i, intra, pool, rate=rate,
+                rng, kind, i, np.flatnonzero(near).tolist(),
+                np.flatnonzero(pools[i]).tolist(), rate=rate,
                 bias=cfg.interaction_intra_bias, horizon=horizon)
 
     posts = (np.full(len(post_actor), POST), post_actor,
@@ -207,31 +210,30 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     # ids sort like their indices, and nonzero walks rows in order
     graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
 
-    targets, sources = np.nonzero(influence_intra | influence_cross)
+    targets, sources = (np.concatenate(pair) for pair in zip(intra, cross))
     truth = PlantedTruth(
-        covering=Covering(universe=ids, communities=tuple(communities)),
+        covering=Covering(universe=ids, communities=tuple(
+            frozenset(compress(ids, row)) for row in member)),
         influence_edges=frozenset((ids[s], ids[t])
                                   for t, s in zip(targets, sources)))
     return log, graph, truth
 
 
-def _draw_activity(cfg: SynthConfig, rng, influence_intra, influence_cross,
-                   cross_eps: float) -> np.ndarray:
-    """Sequential per-bin draws; activity[i, t] is node i's bit at bin t."""
-    n, t_len, lag = cfg.nodes, cfg.bins, cfg.influence_lag
-    a_intra = influence_intra.astype(np.uint8)
-    a_cross = influence_cross.astype(np.uint8)
-    activity = np.zeros((n, t_len), dtype=np.uint8)
-    for t in range(t_len):
-        if t < lag:
-            rate = np.full(n, cfg.rho)
-        else:
-            prev = activity[:, t - lag]
-            boost = np.where(a_intra @ prev > 0, cfg.epsilon, 0.0)
-            boost = np.maximum(boost, np.where(a_cross @ prev > 0, cross_eps, 0.0))
-            rate = cfg.rho + boost
-        activity[:, t] = rng.random(n) < rate
-    return activity
+def _draw_activity(cfg: SynthConfig, rng, influence) -> np.ndarray:
+    """Sequential per-bin draws; activity[i, t] is node i's bit at bin t.
+
+    ``influence`` lists (coupling, (targets, sources)) in rising coupling
+    order. A node's rate is ``rho`` plus the largest coupling with a source
+    active ``influence_lag`` bins earlier, so later writes win."""
+    n, lag = cfg.nodes, cfg.influence_lag
+    activity = np.zeros((cfg.bins, n), dtype=bool)
+    for t in range(cfg.bins):
+        boost = np.zeros(n)
+        if t >= lag:
+            for coupling, (targets, sources) in influence:
+                boost[targets[activity[t - lag, sources]]] = coupling
+        activity[t] = rng.random(n) < cfg.rho + boost
+    return activity.T
 
 
 def _interaction_events(rng, kind: int, actor: int, pool_intra: list[int],

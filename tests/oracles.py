@@ -469,3 +469,172 @@ def loop_tfidf(records, nodes, log_base=math.e) -> dict:
                 values[tag] = count * idf
         vectors[user] = values
     return vectors
+
+
+# ---- the synthetic generator, one Python scan per node ---------------------
+#
+# The generator as it stood before it was rewritten on a membership matrix
+# and influence index lists: membership as per-node and per-community sets,
+# candidate scans over every node, and the influence boost as a matrix
+# product per bin. Its one deliberate change is that the products count in
+# int64, so a node with any active influencer is boosted, however many. It
+# builds the package's own output containers so the results compare whole.
+
+
+def _loop_plant_communities(cfg, ids):
+    """Contiguous blocks plus an overlap slice shared with the next block."""
+    blocks = np.array_split(np.arange(cfg.nodes), cfg.communities)
+    member_of = [set() for _ in range(cfg.nodes)]
+    groups = [set(b.tolist()) for b in blocks]
+    for c, block in enumerate(blocks):
+        for i in block:
+            member_of[i].add(c)
+    if cfg.communities > 1 and cfg.overlap_fraction > 0:
+        for c, block in enumerate(blocks):
+            extra = int(round(cfg.overlap_fraction * len(block)))
+            nxt = (c + 1) % cfg.communities
+            for i in block[:extra]:
+                groups[nxt].add(int(i))
+                member_of[i].add(nxt)
+    communities = [frozenset(ids[i] for i in g) for g in groups]
+    return communities, member_of
+
+
+def loop_generate(cfg):
+    """(log, graph, truth) for ``cfg``, drawn in the generator's RNG order."""
+    from qocd.communities import Covering
+    from qocd.ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
+                             StructuralGraph)
+    from qocd.synth import PlantedTruth
+
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    width = len(str(cfg.nodes - 1))
+    ids = [f"u{i:0{width}d}" for i in range(cfg.nodes)]
+    communities, member_of = _loop_plant_communities(cfg, ids)
+    n = cfg.nodes
+
+    comm_mask = np.zeros((cfg.communities, n), dtype=bool)
+    for i, member in enumerate(member_of):
+        comm_mask[sorted(member), i] = True
+    shares = (comm_mask.T.astype(np.int8) @ comm_mask.astype(np.int8)) > 0
+
+    thresholds = np.where(shares, cfg.p_in, cfg.p_out)
+    np.fill_diagonal(thresholds, 0.0)
+    follow = rng.random((n, n)) < thresholds  # follow[v, u]: u follows v
+
+    cross_eps = cfg.epsilon if cfg.cross_epsilon is None else cfg.cross_epsilon
+    influence_intra = np.zeros((n, n), dtype=bool)  # [target, source]
+    influence_cross = np.zeros((n, n), dtype=bool)
+
+    for c in range(cfg.cross_influencers):
+        src = max(i for i in range(n) if c in member_of[i])
+        targets = [(c + off) % cfg.communities
+                   for off in range(1, cfg.cross_span + 1)]
+        for tc in targets:
+            for j in sorted(i for i in range(n) if tc in member_of[i]):
+                if j == src or tc in member_of[src]:
+                    continue
+                if rng.random() < cfg.cross_follow_prob:
+                    follow[src, j] = True
+                    influence_cross[j, src] = True
+
+    for j in range(n):
+        candidates = [i for i in range(n)
+                      if follow[i, j] and shares[i, j] and i != j
+                      and not influence_cross[j, i]]
+        if not candidates or cfg.influence_in_degree < 1:
+            continue
+        take = min(cfg.influence_in_degree, len(candidates))
+        chosen = rng.choice(len(candidates), size=take, replace=False)
+        for idx in sorted(chosen.tolist()):
+            influence_intra[j, candidates[idx]] = True
+
+    activity = _loop_draw_activity(cfg, rng, influence_intra, influence_cross,
+                                   cross_eps)
+
+    tag_pools = [[f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
+                 for c in range(cfg.communities)]
+    shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
+    own_pools = [sorted(m) for m in member_of]
+    post_actor, post_bin = np.nonzero(activity)  # node by node, bins rising
+    post_tags = []  # "" for a post without one
+    for i in post_actor.tolist():
+        tag, own = "", own_pools[i]
+        if rng.random() < cfg.hashtag_rate:
+            if own and rng.random() < cfg.own_pool_bias:
+                pool = tag_pools[own[int(rng.integers(len(own)))]]
+            else:
+                pool = shared_tags
+            if pool:
+                tag = pool[int(rng.integers(len(pool)))]
+        post_tags.append(tag)
+
+    horizon = cfg.bins * cfg.bin_width
+    drawn = []  # (kind, actor, ts, target) of every mention and retweet
+    # a mention goes to a follower, a retweet to a followee
+    for kind, pools, rate in ((MENTION, follow, cfg.mention_events),
+                              (RETWEET, follow.T, cfg.retweet_events)):
+        for i in range(n):
+            pool = np.flatnonzero(pools[i]).tolist()
+            intra = [j for j in pool if shares[i, j]]  # shares is symmetric
+            drawn += _loop_interaction_events(
+                rng, kind, i, intra, pool, rate=rate,
+                bias=cfg.interaction_intra_bias, horizon=horizon)
+
+    posts = (np.full(len(post_actor), POST), post_actor,
+             post_bin * cfg.bin_width, np.full(len(post_actor), -1))
+    kind, actor, ts, target = (np.concatenate(pair) for pair in zip(
+        posts, np.array(drawn, dtype=np.int64).reshape(-1, 4).T))
+    tags, tag = np.unique([""] + post_tags + [""] * len(drawn),
+                          return_inverse=True)  # "" first: code -1, no tag
+    name_rank = np.argsort(np.argsort(EVENT_KINDS))  # mention < post < retweet
+    order = np.lexsort((target, actor, name_rank[kind], ts))
+    tag = tag[1:][order] - 1
+    log = EventLog(tuple(ids), kind[order], actor[order], target[order],
+                   ts[order], tuple(tags[1:].tolist()),
+                   np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
+
+    # ids sort like their indices, and nonzero walks rows in order
+    graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
+
+    targets, sources = np.nonzero(influence_intra | influence_cross)
+    truth = PlantedTruth(
+        covering=Covering(universe=ids, communities=tuple(communities)),
+        influence_edges=frozenset((ids[s], ids[t])
+                                  for t, s in zip(targets, sources)))
+    return log, graph, truth
+
+
+def _loop_draw_activity(cfg, rng, influence_intra, influence_cross,
+                        cross_eps):
+    """Sequential per-bin draws; activity[i, t] is node i's bit at bin t."""
+    n, t_len, lag = cfg.nodes, cfg.bins, cfg.influence_lag
+    a_intra = influence_intra.astype(np.int64)  # counts cannot wrap
+    a_cross = influence_cross.astype(np.int64)
+    activity = np.zeros((n, t_len), dtype=np.int64)
+    for t in range(t_len):
+        if t < lag:
+            rate = np.full(n, cfg.rho)
+        else:
+            prev = activity[:, t - lag]
+            boost = np.where(a_intra @ prev > 0, cfg.epsilon, 0.0)
+            boost = np.maximum(boost,
+                               np.where(a_cross @ prev > 0, cross_eps, 0.0))
+            rate = cfg.rho + boost
+        activity[:, t] = rng.random(n) < rate
+    return activity
+
+
+def _loop_interaction_events(rng, kind, actor, pool_intra, pool_all, rate,
+                             bias, horizon):
+    """(kind, actor, ts, target) of each event one actor draws."""
+    out = []
+    for _ in range(int(rng.poisson(rate))):
+        ts = int(rng.integers(horizon))
+        use_intra = rng.random() < bias
+        pool = pool_intra if (use_intra and pool_intra) else pool_all
+        if not pool:
+            continue
+        out.append((kind, actor, ts, pool[int(rng.integers(len(pool)))]))
+    return out

@@ -367,6 +367,8 @@ def test_weight_builds_each_share_once(dataset, ingested, tmp_path,
     ["--retweet-events", "-2"],
     ["--influence-in-degree", "-3"],
     ["--cross-span", "-1"],
+    ["--nodes", "10001"],
+    ["--nodes", "200000"],
 ])
 def test_synth_bad_config_exits_one_before_output(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -454,6 +456,17 @@ def test_infinite_weight_exits_two(tmp_path, capsys, command):
         argv += ["--covering", str(covering)]
     assert main(argv) == 2
     assert "weights must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "-1", "x"])
+def test_bad_weight_names_its_file_line_and_row(tmp_path, capsys, weight):
+    table = tmp_path / "weights_x.csv"
+    table.write_text(f"source,target,weight\na,b,1\nb,c,{weight}\nc,a,1\n")
+    out = tmp_path / "c.txt"
+    assert main(["detect", "--weights", str(table), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{table} line 3: ['b', 'c', '{weight}']" in err
     assert not out.exists()
 
 

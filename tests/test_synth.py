@@ -7,7 +7,7 @@ from qocd.compare import nmi
 from qocd.synth import SynthConfig, generate
 from qocd.weighting import structural_weights, transfer_entropy_weights
 
-from oracles import brute_force_te
+from oracles import brute_force_te, loop_generate
 
 
 def memberships(c) -> dict[str, set[int]]:
@@ -137,3 +137,60 @@ def test_infeasible_configs_are_rejected():
         SynthConfig(overlap_fraction=1.5).validate()
     with pytest.raises(ValueError):
         SynthConfig(cross_influencers=2, cross_span=8, communities=8).validate()
+
+
+def test_boost_counts_every_active_influencer():
+    # rho + epsilon == 1: a node with an active influencer at t - 1 is
+    # active at t; about 258 of each node's 299 influencers are active
+    cfg = SynthConfig(seed=3, nodes=600, communities=2, p_in=1.0, p_out=0.0,
+                      influence_in_degree=299, rho=0.86, epsilon=0.14, bins=3,
+                      mention_events=0, retweet_events=0)
+    log, graph, truth = generate(cfg)
+    bits = batch_coarsen(log, graph, bin_width=cfg.bin_width,
+                         window=(0, cfg.bins * cfg.bin_width - 1)).bits
+    pos = {node: i for i, node in enumerate(graph.nodes)}
+    src, dst = np.array([[pos[v] for v in edge]
+                         for edge in truth.influence_edges]).T
+    active = np.array([np.bincount(dst, bits[src, t], minlength=cfg.nodes)
+                       for t in range(cfg.bins - 1)])
+    assert (active == 256).any()  # where a uint8 count wraps to 0
+    assert bits[:, 1:].T[active > 0].all()
+
+
+ORACLE_CONFIGS = [
+    dict(nodes=40, communities=4, bins=200),
+    dict(nodes=60, communities=5, bins=120, overlap_fraction=0.3),
+    dict(nodes=60, communities=5, bins=100, overlap_fraction=0.25,
+         cross_influencers=3, cross_span=2),
+    dict(nodes=80, communities=6, bins=160, overlap_fraction=0.5,
+         cross_influencers=4, cross_span=5, cross_epsilon=0.5, epsilon=0.2,
+         cross_follow_prob=0.6),
+    dict(nodes=30, communities=3, bins=200, influence_in_degree=0,
+         influence_lag=3, cross_influencers=2, cross_span=1,
+         cross_epsilon=0.1),
+    dict(nodes=48, communities=4, bins=250, influence_lag=3, hashtag_pool=0,
+         mention_events=0, retweet_events=0),
+    dict(nodes=20, communities=1, bins=120, p_in=0.4, p_out=0.0,
+         shared_pool=0, overlap_fraction=0.5),
+    dict(nodes=50, communities=5, bins=100, p_out=0.0, shared_pool=0,
+         influence_in_degree=9, rho=0.3, epsilon=0.7, cross_influencers=5,
+         cross_span=3, cross_epsilon=0.2),
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_CONFIGS)
+def test_generate_matches_the_loop_oracle(params):
+    for seed in range(5):
+        cfg = SynthConfig(seed=seed, **params)
+        log, graph, truth = generate(cfg)
+        ref_log, ref_graph, ref_truth = loop_generate(cfg)
+        for name in ("ids", "kind", "actor", "target", "ts", "tags",
+                     "tag_ptr", "tag_ids", "skipped"):
+            got, want = getattr(log, name), getattr(ref_log, name)
+            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+            assert np.array_equal(got, want), (name, seed)
+        assert graph.nodes == ref_graph.nodes
+        assert np.array_equal(graph.src, ref_graph.src)
+        assert np.array_equal(graph.dst, ref_graph.dst)
+        assert truth.covering == ref_truth.covering
+        assert truth.influence_edges == ref_truth.influence_edges
