@@ -17,6 +17,9 @@ import numpy as np
 from .ingest import (POST, RETWEET, EventLog, StructuralGraph, write_csv,
                      write_json)
 
+# nodes x bins: 1 GiB of uint8 activity and 4 GiB of int32 TE window codes
+MAX_CELLS = 2**30
+
 
 @dataclass(frozen=True, eq=False)
 class ActivityMatrix:
@@ -80,9 +83,12 @@ def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
     origin, end = window if window is not None else default_window(log, bin_width)
     if origin > end:
         raise ValueError("window origin must not exceed its end")
+    bins = series_length(origin, end, bin_width)
+    if len(nodes) * bins > MAX_CELLS:
+        raise ValueError(f"{len(nodes)} nodes x {bins} bins of width "
+                         f"{bin_width} exceed {MAX_CELLS} activity cells")
     kinds = [POST, RETWEET] if retweets_count_as_activity else [POST]
-    bits = np.zeros((len(nodes), series_length(origin, end, bin_width)),
-                    dtype=np.uint8)
+    bits = np.zeros((len(nodes), bins), dtype=np.uint8)
     row, _ = log.positions(nodes)
     keep = ((row >= 0) & np.isin(log.kind, kinds)
             & (log.ts >= origin) & (log.ts <= end))

@@ -11,8 +11,12 @@ with each term adjusted using its own observed-alphabet count and the common
 sample count n = T - k. A negative adjusted estimate is truncated to zero by
 default; the raw value stays available via ``truncate=False``.
 
-The first two terms depend on the target alone, so a pairwise table computes
-them once per node and only the two joint terms once per edge.
+Each series is packed into int32 codes of its (k+1)-bit windows, x_t at bit
+0 above its k-bit past, and every pair of terms comes from one code array:
+H[x_t, x_past] and H[x_past] from the target's windows, and the joint terms
+from a code that puts the source's past above them. The first pair depends
+on the target alone, so a pairwise table computes it once per node and only
+the joint pair once per edge.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     n = sum(counts.values())
     if n == 0:
         raise ValueError("no samples")
-    probs = np.array(sorted(counts.values()), dtype=np.float64) / n
-    plugin = float(-(probs * np.log2(probs)).sum())
-    alphabet = len(counts)
+    plugin, alphabet = _entropy(np.array(sorted(counts.values())), n)
     return EntropyEstimate(
         plugin=plugin,
         miller_madow=plugin + (alphabet - 1) / (2 * n),
@@ -74,7 +76,7 @@ def as_bits(series: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-MAX_LAG = 12  # a joint term counts 2^(2k+1) codes in int64: 256 MiB at 12
+MAX_LAG = 12  # a joint code has 2k+1 <= 25 bits; its bincount is 256 MiB at 12
 
 
 def _check_lag(k: int, t_len: int) -> None:
@@ -82,48 +84,37 @@ def _check_lag(k: int, t_len: int) -> None:
         raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
 
 
-def _past_codes(bits: np.ndarray, k: int) -> np.ndarray:
-    """Pack each k-bit past window along the last axis into an integer, one
-    per sample: (..., T) bits give (..., T - k) codes."""
+def _window_codes(bits: np.ndarray, k: int) -> np.ndarray:
+    """Pack each (k+1)-bit window along the last axis into an int32, one per
+    sample: x_t at bit 0 and x_{t-j} at bit j, so ``w >> 1`` is the k-bit
+    past. (..., T) bits give (..., T - k) codes."""
     t_len = bits.shape[-1]
-    codes = np.zeros(bits.shape[:-1] + (t_len - k,), dtype=np.int64)
-    for j in range(k, 0, -1):  # in place: bit t - j ends up at 1 << (j - 1)
+    codes = np.zeros(bits.shape[:-1] + (t_len - k,), dtype=np.int32)
+    for j in range(k, -1, -1):  # in place: bit t - j ends up at 1 << j
         codes <<= 1
         codes |= bits[..., k - j:t_len - j]
     return codes
 
 
-def _future_codes(bits: np.ndarray, past: np.ndarray, k: int) -> np.ndarray:
-    """x_t + 2 x_past: each next bit joined to the code of its past."""
-    codes = past << 1
-    codes |= bits[..., k:]
-    return codes
+def _entropy(counts: np.ndarray, n: int) -> tuple[float, int]:
+    """Plug-in entropy (bits) and observed-alphabet size of symbol counts."""
+    probs = counts[counts > 0] / n
+    return float(-(probs * np.log2(probs)).sum()), len(probs)
 
 
-def _entropy_from_codes(codes: np.ndarray, n: int) -> tuple[float, int]:
-    """Plug-in entropy (bits) and observed-alphabet size of packed codes."""
-    counts = np.bincount(codes)
-    nz = counts[counts > 0]
-    probs = nz / n
-    return float(-(probs * np.log2(probs)).sum()), len(nz)
+def _entropies(codes: np.ndarray, n: int):
+    """The entropy terms of a code array with and without its bit 0."""
+    return _entropy(np.bincount(codes), n), _entropy(np.bincount(codes >> 1), n)
 
 
-def _node_terms(x_future: np.ndarray, x_past: np.ndarray, n: int):
-    """The target-only terms: H[x_t, x_past] and H[x_past], each with its
-    observed-alphabet size. ``x_future`` holds the codes x_t + 2 x_past."""
-    return _entropy_from_codes(x_future, n), _entropy_from_codes(x_past, n)
-
-
-def _edge_terms(x_future: np.ndarray, x_past: np.ndarray, y_past: np.ndarray,
-                k: int, n: int):
-    """The joint terms H[x_t, x_past, y_past] and H[x_past, y_past]."""
-    return (_entropy_from_codes(x_future + (y_past << (k + 1)), n),
-            _entropy_from_codes(x_past + (y_past << k), n))
-
-
-def _te_from_terms(node_terms, edge_terms, n: int, truncate: bool) -> float:
-    (h_xfp, a_xfp), (h_xp, a_xp) = node_terms
-    (h_xfyp, a_xfyp), (h_xyp, a_xyp) = edge_terms
+def _te(target_terms, w_x: np.ndarray, w_y: np.ndarray, k: int, n: int,
+        truncate: bool) -> float:
+    """TE from window codes ``w_y`` to ``w_x``, given ``_entropies(w_x, n)``.
+    The joint code puts y_past above x's window, so its ``_entropies`` are
+    H[x_t, x_past, y_past] and H[x_past, y_past]."""
+    (h_xfp, a_xfp), (h_xp, a_xp) = target_terms
+    (h_xfyp, a_xfyp), (h_xyp, a_xyp) = _entropies(
+        ((w_y >> 1) << (k + 1)) + w_x, n)
     raw = (h_xfp - h_xp - h_xfyp + h_xyp
            + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
     if truncate and raw < 0.0:
@@ -143,11 +134,8 @@ def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
         raise ValueError(f"series lengths differ: {len(xb)} vs {len(yb)}")
     _check_lag(k, len(xb))
     n = len(xb) - k
-    x_past, y_past = _past_codes(np.stack([xb, yb]), k)
-    x_future = _future_codes(xb, x_past, k)
-    return _te_from_terms(_node_terms(x_future, x_past, n),
-                          _edge_terms(x_future, x_past, y_past, k, n),
-                          n, truncate)
+    w_x, w_y = _window_codes(np.stack([xb, yb]), k)
+    return _te(_entropies(w_x, n), w_x, w_y, k, n, truncate)
 
 
 def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
@@ -166,14 +154,11 @@ def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
         return np.zeros(0)
     _check_lag(k, activity.bits.shape[1])
     n = activity.bits.shape[1] - k
-    past = _past_codes(activity.bits, k)
-    future = _future_codes(activity.bits, past, k)
-    node_terms = {}
+    windows = _window_codes(activity.bits, k)
+    target_terms = {}
     table = np.empty(len(graph.src))
     for i, (y, x) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
-        if x not in node_terms:
-            node_terms[x] = _node_terms(future[x], past[x], n)
-        table[i] = _te_from_terms(
-            node_terms[x], _edge_terms(future[x], past[x], past[y], k, n),
-            n, truncate)
+        if x not in target_terms:
+            target_terms[x] = _entropies(windows[x], n)
+        table[i] = _te(target_terms[x], windows[x], windows[y], k, n, truncate)
     return table

@@ -17,6 +17,7 @@ from itertools import compress
 
 import numpy as np
 
+from .activity import MAX_CELLS
 from .communities import Covering
 from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
                      StructuralGraph, open_output, write_csv)
@@ -24,6 +25,9 @@ from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
 
 # the paper's scale; the dense follow draw holds about 18 B per node pair
 MAX_NODES = 10_000
+COUNTS = ("nodes", "communities", "bins", "bin_width", "influence_in_degree",
+          "influence_lag", "cross_influencers", "cross_span", "hashtag_pool",
+          "shared_pool", "seed")
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in COUNTS:
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         probs = {
             "overlap_fraction": self.overlap_fraction, "p_in": self.p_in,
             "p_out": self.p_out, "rho": self.rho,
@@ -71,7 +79,8 @@ class SynthConfig:
         cross_eps = self.epsilon if self.cross_epsilon is None else self.cross_epsilon
         amounts = {name: getattr(self, name) for name in (
             "epsilon", "mention_events", "retweet_events", "influence_in_degree",
-            "cross_influencers", "cross_span", "hashtag_pool", "shared_pool")}
+            "cross_influencers", "cross_span", "hashtag_pool", "shared_pool",
+            "seed")}
         for name, value in dict(amounts, cross_epsilon=cross_eps).items():
             if not 0 <= value < np.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -83,6 +92,12 @@ class SynthConfig:
             raise ValueError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
         if self.bins < 2 or self.bin_width < 1:
             raise ValueError("need at least two bins of positive width")
+        if int(self.bins) * int(self.bin_width) >= 2**63:  # no numpy wrap
+            raise ValueError("bins * bin_width must be < 2**63, got "
+                             f"{self.bins} * {self.bin_width}")
+        if int(self.nodes) * int(self.bins) > MAX_CELLS:
+            raise ValueError(f"nodes * bins must be <= {MAX_CELLS}, got "
+                             f"{self.nodes} * {self.bins}")
         if not 1 <= self.influence_lag < self.bins:
             raise ValueError("influence lag must fall inside the bin range")
         if self.cross_influencers > self.communities:

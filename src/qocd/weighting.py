@@ -84,9 +84,10 @@ def structural_weights(graph: StructuralGraph) -> WeightedDigraph:
 
 
 def transfer_entropy_weights(graph: StructuralGraph, activity: ActivityMatrix,
-                             k: int, truncate: bool = True) -> WeightedDigraph:
-    """Lag-k transfer entropy of the followee's series on the follower's."""
-    table = pairwise_transfer_entropy(graph, activity, k, truncate=truncate)
+                             k: int) -> WeightedDigraph:
+    """Lag-k transfer entropy of the followee's series on the follower's,
+    truncated at zero."""
+    table = pairwise_transfer_entropy(graph, activity, k)
     return WeightedDigraph(graph, table, f"te_lag{k}")
 
 

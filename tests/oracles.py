@@ -638,3 +638,46 @@ def _loop_interaction_events(rng, kind, actor, pool_intra, pool_all, rate,
             continue
         out.append((kind, actor, ts, pool[int(rng.integers(len(pool)))]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The pairwise transfer-entropy kernel as it stood before the window codes:
+# one int64 matrix of k-bit past codes and a second of (k+1)-bit future
+# codes, each joint term packed from them with its own shift.
+
+
+def _two_matrix_past_codes(bits, k):
+    t_len = bits.shape[-1]
+    codes = np.zeros(bits.shape[:-1] + (t_len - k,), dtype=np.int64)
+    for j in range(k, 0, -1):  # bit t - j ends up at 1 << (j - 1)
+        codes <<= 1
+        codes |= bits[..., k - j:t_len - j]
+    return codes
+
+
+def _two_matrix_entropy(codes, n):
+    counts = np.bincount(codes)
+    nz = counts[counts > 0]
+    probs = nz / n
+    return float(-(probs * np.log2(probs)).sum()), len(nz)
+
+
+def two_matrix_pairwise_te(src, dst, bits, k: int, truncate: bool):
+    """TE along each (src[i], dst[i]) row pair of a node x bin 0/1 matrix,
+    source to target, with the target's own terms cached per node."""
+    n = bits.shape[1] - k
+    past = _two_matrix_past_codes(bits, k)
+    future = (past << 1) | bits[:, k:]  # x_t + 2 x_past
+    node_terms = {}
+    table = np.empty(len(src))
+    for i, (y, x) in enumerate(zip(src, dst)):
+        if x not in node_terms:
+            node_terms[x] = (_two_matrix_entropy(future[x], n),
+                             _two_matrix_entropy(past[x], n))
+        (h_xfp, a_xfp), (h_xp, a_xp) = node_terms[x]
+        h_xfyp, a_xfyp = _two_matrix_entropy(future[x] + (past[y] << (k + 1)), n)
+        h_xyp, a_xyp = _two_matrix_entropy(past[x] + (past[y] << k), n)
+        raw = (h_xfp - h_xp - h_xfyp + h_xyp
+               + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
+        table[i] = 0.0 if truncate and raw < 0.0 else raw
+    return table

@@ -121,6 +121,16 @@ class TestBatchCoarsen:
             with pytest.raises(ValueError, match="bin_width"):
                 batch_coarsen(log_of(post("a", 700)), self.graph, width)
 
+    def test_matrix_above_the_cell_bound_is_rejected_before_allocation(self):
+        # the check runs before np.zeros, which would raise MemoryError
+        from qocd.activity import MAX_CELLS
+
+        log = log_of(post("a", 0), post("b", 10**15))
+        with pytest.raises(ValueError, match=(
+                "3 nodes x 1666666666667 bins of width 600 exceed "
+                f"{MAX_CELLS} activity cells")):
+            batch_coarsen(log, self.graph, 600)
+
     def test_only_active_user_has_ones(self):
         log = log_of(post("a", 0))
         activity = batch_coarsen(log, self.graph, 600, (0, 599))

@@ -369,12 +369,32 @@ def test_weight_builds_each_share_once(dataset, ingested, tmp_path,
     ["--cross-span", "-1"],
     ["--nodes", "10001"],
     ["--nodes", "200000"],
+    ["--nodes", "20", "--bins", "100000000"],
+    ["--seed", "-1"],
+    ["--bins", "100", "--bin-width", "100000000000000000"],
 ])
 def test_synth_bad_config_exits_one_before_output(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert main(["synth", "-o", str(out)] + flags) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_rejects_an_activity_matrix_above_the_bound(tmp_path,
+                                                            capsys):
+    # posts 10^15 s apart once asked for a (2, 1666666666667) uint8 matrix
+    # and exited 3 with a MemoryError
+    lines = [{"kind": "mention", "actor": a, "ts": ts, "target": b}
+             for ts in range(12) for a, b in (("a", "b"), ("b", "a"))]
+    lines += [{"kind": "post", "actor": "a", "ts": 0},
+              {"kind": "post", "actor": "b", "ts": 10**15}]
+    (tmp_path / "events.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines))
+    (tmp_path / "follows.csv").write_text("followee,follower\na,b\nb,a\n")
+    assert main(["pipeline", "-i", str(tmp_path),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert ("2 nodes x 1666666666667 bins of width 600 exceed"
+            in capsys.readouterr().err)
 
 
 def test_report_reads_the_graph_once(ingested, tmp_path, monkeypatch):

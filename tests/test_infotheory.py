@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qocd.infotheory import (MAX_LAG, pairwise_transfer_entropy,
                              plugin_entropy, transfer_entropy)
 from qocd.ingest import StructuralGraph
 
-from oracles import brute_force_te
+from oracles import brute_force_te, two_matrix_pairwise_te
 
 
 class TestPluginEntropy:
@@ -66,12 +67,15 @@ class TestTransferEntropy:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(99)
-        for _ in range(60):
+        for case in range(66):
             t_len = int(rng.integers(20, 200))
-            k = int(rng.integers(1, 4))
+            # the last cases run at the bound with y's oldest past bit set,
+            # so a joint code reaches bit 2k = 24 of its int32
+            k = int(rng.integers(1, 4)) if case < 60 else MAX_LAG
             p = rng.uniform(0.1, 0.9)
             x = (rng.random(t_len) < p).astype(int)
             y = (rng.random(t_len) < p).astype(int)
+            y[0] = 1 if k == MAX_LAG else y[0]
             raw = transfer_entropy(x, y, k, truncate=False)
             assert raw == pytest.approx(brute_force_te(x, y, k), abs=1e-10)
 
@@ -192,3 +196,45 @@ class TestPairwise:
                 assert table.tolist() == [
                     transfer_entropy(bits[u], bits[v], k, truncate)
                     for v, u in graph.edges]
+
+    def test_equals_the_two_matrix_kernel_bit_for_bit(self):
+        # rows: all zero, all one, and random rates in (0.05, 0.95); every
+        # ordered pair below lag 9, three edges from there to the bound,
+        # where each joint count table is up to 2^25 wide
+        rng = np.random.default_rng(12)
+        rates = rng.uniform(0.05, 0.95, 4)
+        bits = {f"n{i}": (rng.random(400) < r).astype(np.uint8)
+                for i, r in enumerate(rates)}
+        bits.update(zeros=np.zeros(400, np.uint8), ones=np.ones(400, np.uint8))
+        activity = activity_of(bits)
+        nodes = activity.nodes
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        for k in range(1, MAX_LAG + 1):
+            graph = StructuralGraph.from_edges(
+                pairs if k < 9 else [("n0", "n1"), ("n1", "ones"),
+                                     ("zeros", "n2")], nodes=nodes)
+            for truncate in (True, False):
+                want = two_matrix_pairwise_te(
+                    graph.src.tolist(), graph.dst.tolist(), activity.bits, k,
+                    truncate)
+                got = pairwise_transfer_entropy(graph, activity, k, truncate)
+                assert got.tobytes() == want.tobytes(), (k, truncate)
+
+    def test_window_codes_take_four_bytes_per_node_bin(self):
+        rng = np.random.default_rng(13)
+        nodes, bins = 200, 2_000
+        activity = ActivityMatrix(
+            tuple(f"n{i:03d}" for i in range(nodes)),
+            rng.random((nodes, bins)) < rng.uniform(0.05, 0.5, (nodes, 1)),
+            600, 0)
+        names = activity.nodes
+        graph = StructuralGraph.from_edges(
+            [(names[i], names[(i + d) % nodes])
+             for i in range(nodes) for d in (1, 7)])
+        tracemalloc.start()
+        try:
+            pairwise_transfer_entropy(graph, activity, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * nodes * bins

@@ -139,6 +139,28 @@ def test_infeasible_configs_are_rejected():
         SynthConfig(cross_influencers=2, cross_span=8, communities=8).validate()
 
 
+@pytest.mark.parametrize("field, params", [
+    ("influence_in_degree", dict(influence_in_degree=2.5)),
+    ("nodes", dict(nodes=40.0)),
+    ("cross_span", dict(cross_span=1.5)),
+    ("seed", dict(seed=1.5)),
+    ("influence_lag", dict(influence_lag=True)),
+    ("seed", dict(seed=-1)),
+    ("bin_width", dict(bins=100, bin_width=10**17)),
+    ("nodes", dict(nodes=20, bins=10**8)),
+])
+def test_validate_rejects_what_generate_cannot_use(field, params):
+    # each once passed validate and failed in generate with a TypeError or
+    # a numpy error naming no field, or drew a matrix of nodes x bins cells
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**params).validate()
+
+
+def test_validate_accepts_numpy_integer_counts():
+    SynthConfig(nodes=np.int64(40), bins=np.int32(300), seed=np.uint8(3),
+                bin_width=np.int64(2**40)).validate()
+
+
 def test_boost_counts_every_active_influencer():
     # rho + epsilon == 1: a node with an active influencer at t - 1 is
     # active at t; about 258 of each node's 299 influencers are active
