@@ -75,7 +75,8 @@ class TestTransferEntropy:
             p = rng.uniform(0.1, 0.9)
             x = (rng.random(t_len) < p).astype(int)
             y = (rng.random(t_len) < p).astype(int)
-            y[0] = 1 if k == MAX_LAG else y[0]
+            if k == MAX_LAG:
+                y[0] = 1
             raw = transfer_entropy(x, y, k, truncate=False)
             assert raw == pytest.approx(brute_force_te(x, y, k), abs=1e-10)
 
