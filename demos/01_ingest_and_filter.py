@@ -23,9 +23,12 @@ print(f"event log: {len(log)} events ({kinds['post']} posts, "
 
 # an information event is an in-network mention or retweet; each one is
 # outgoing for the user information left and incoming for the receiver
+# the two counts are int64 arrays in graph.nodes order
 counts = count_information_events(log, graph)
-busiest = max(graph.nodes, key=lambda u: sum(counts.for_user(u)))
-print(f"busiest user {busiest}: outgoing/incoming = {counts.for_user(busiest)}")
+outgoing, incoming = counts
+busiest = int(np.argmax(outgoing + incoming))  # the first, on a tie
+print(f"busiest user {graph.nodes[busiest]}: outgoing/incoming = "
+      f"{(int(outgoing[busiest]), int(incoming[busiest]))}")
 
 # users need a minimum of both kinds to stay; then keep the giant SCC
 active, active_report = filter_active(graph, counts, threshold=9)

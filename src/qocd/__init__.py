@@ -15,12 +15,12 @@ from .edgestats import (EdgeClass, classify_edge, conditional_weights,
                         median_low, partition_edges, size_ccdf)
 from .infotheory import (EntropyEstimate, pairwise_transfer_entropy,
                          plugin_entropy, transfer_entropy)
-from .ingest import (EventLog, FilterReport, InfoEventCounts,
-                     StructuralGraph, count_information_events, filter_active,
-                     giant_scc, parse_events, read_events, read_follow_edges,
+from .ingest import (EventLog, FilterReport, StructuralGraph,
+                     count_information_events, filter_active, giant_scc,
+                     parse_events, read_events, read_follow_edges,
                      write_follow_edges)
 from .synth import PlantedTruth, SynthConfig, generate
-from .weighting import (HashtagVector, WeightedDigraph, cosine,
+from .weighting import (WeightedDigraph, cosine,
                         hashtag_similarity_weights, hashtag_tfidf_vectors,
                         mention_retweet_weights, mention_share_weights,
                         orphans, retweet_share_weights, structural_weights,
@@ -28,15 +28,13 @@ from .weighting import (HashtagVector, WeightedDigraph, cosine,
 
 __all__ = [
     "ActivityMatrix", "Covering", "EdgeClass", "EntropyEstimate", "EventLog",
-    "FilterReport", "FitnessParams", "HashtagVector",
-    "InfoEventCounts", "PlantedTruth", "StructuralGraph", "SynthConfig",
-    "WeightedDigraph", "batch_coarsen", "classify_edge", "conditional_weights",
-    "count_information_events", "cosine", "covering_stats",
-    "detect_communities", "filter_active", "generate", "giant_scc",
-    "hashtag_similarity_weights", "hashtag_tfidf_vectors", "median_low",
-    "mention_retweet_weights",
-    "mention_share_weights", "nmi", "nmi_matrix", "orphans",
-    "pairwise_transfer_entropy", "parse_events",
+    "FilterReport", "FitnessParams", "PlantedTruth", "StructuralGraph",
+    "SynthConfig", "WeightedDigraph", "batch_coarsen", "classify_edge",
+    "conditional_weights", "count_information_events", "cosine",
+    "covering_stats", "detect_communities", "filter_active", "generate",
+    "giant_scc", "hashtag_similarity_weights", "hashtag_tfidf_vectors",
+    "median_low", "mention_retweet_weights", "mention_share_weights", "nmi",
+    "nmi_matrix", "orphans", "pairwise_transfer_entropy", "parse_events",
     "partition_edges", "plugin_entropy", "read_covering", "read_events",
     "read_follow_edges", "retweet_share_weights", "size_ccdf",
     "structural_weights", "transfer_entropy", "transfer_entropy_weights",

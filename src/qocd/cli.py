@@ -87,9 +87,7 @@ def write_weight_table(wg: WeightedDigraph, path: Path, meta: dict) -> None:
     write_json(path.with_suffix(".json"), dict(meta, scheme=wg.scheme))
 
 
-def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
-    if scheme is None:
-        scheme = path.stem.removeprefix("weights_")
+def read_weight_table(path: Path) -> WeightedDigraph:
     weights = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -110,7 +108,8 @@ def read_weight_table(path: Path, scheme: str | None = None) -> WeightedDigraph:
                 raise ValueError(f"weights must be finite non-negative numbers"
                                  f"; {path} line {reader.line_num}: {row!r}")
             weights[(row[0], row[1])] = weight
-    wg = WeightedDigraph.from_mapping(weights, scheme)
+    wg = WeightedDigraph.from_mapping(weights,
+                                      path.stem.removeprefix("weights_"))
     check_ids(wg.graph.nodes)
     return wg
 
@@ -147,8 +146,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_ingest(events_path: Path, follows_path: Path, out: Path,
-                threshold: int):
+def _run_ingest(events_path: Path, follows_path: Path, threshold: int):
+    """The event log, the filtered graph and its report; writes nothing."""
     log = read_events(events_path)
     graph = read_follow_edges(follows_path)
     counts = count_information_events(log, graph)
@@ -156,18 +155,20 @@ def _run_ingest(events_path: Path, follows_path: Path, out: Path,
     if not active_graph.nodes:
         raise ValueError("no users survive the activity filter")
     final_graph, scc_report = giant_scc(active_graph)
-    report = combine_reports(active_report, scc_report)
-    write_follow_edges(final_graph, out / "graph.csv")
+    return log, final_graph, combine_reports(active_report, scc_report)
+
+
+def _write_ingest(graph, report, out: Path) -> None:
+    write_follow_edges(graph, out / "graph.csv")
     write_json(out / "filter_report.json", report.to_dict())
-    return log, final_graph, report
 
 
 def cmd_ingest(args) -> int:
     indir = Path(args.input)
     events = Path(args.events) if args.events else indir / "events.jsonl"
     follows = Path(args.follows) if args.follows else indir / "follows.csv"
-    log, graph, report = _run_ingest(events, follows, Path(args.output),
-                                     args.threshold)
+    log, graph, report = _run_ingest(events, follows, args.threshold)
+    _write_ingest(graph, report, Path(args.output))
     print(f"ingest: kept {len(report.kept)} of "
           f"{len(report.kept) + len(report.removed_inactive) + len(report.removed_not_in_gscc)} "
           f"users ({log.skipped} malformed lines skipped)")
@@ -176,8 +177,9 @@ def cmd_ingest(args) -> int:
 
 def _run_weights(log, graph, args, schemes, lags, out: Path,
                  series_csv: Path | None = None) -> dict[str, WeightedDigraph]:
-    """Build the tables of ``schemes`` (TE once per lag in ``lags``) and write
-    each as ``out/weights_<name>.csv``, in name order, with a JSON sidecar.
+    """Build the tables of ``schemes`` (TE once per lag in ``lags``), then
+    write each as ``out/weights_<name>.csv``, in name order, with a JSON
+    sidecar, so a failed build writes nothing.
 
     Every sidecar records the bin width and whether retweets count as
     activity; TE sidecars add the lag and the hashtag one the tf-idf log
@@ -191,8 +193,6 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
     if "te" in schemes or series_csv is not None:
         activity = batch_coarsen(log, graph, bin_width=args.bin_width,
                                  retweets_count_as_activity=retweets)
-    if series_csv is not None:
-        write_series_csv(activity, series_csv)
     if "te" in schemes:
         for k in lags:
             built.append((transfer_entropy_weights(graph, activity, k),
@@ -209,6 +209,8 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
         vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
         built.append((hashtag_similarity_weights(graph, vectors),
                       dict(meta, tfidf_log_base=args.tfidf_log_base)))
+    if series_csv is not None:
+        write_series_csv(activity, series_csv)
     tables = {}
     for wg, sidecar in sorted(built, key=lambda pair: pair[0].scheme):
         write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
@@ -338,10 +340,11 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
     events_path, follows_path = indir / "events.jsonl", indir / "follows.csv"
-    log, graph, _ = _run_ingest(events_path, follows_path, out / "ingest",
-                                args.threshold)
+    log, graph, report = _run_ingest(events_path, follows_path, args.threshold)
+    # a weight stage that fails (say, on the activity bound) writes nothing
     tables = _run_weights(log, graph, args, SCHEMES,
                           range(1, args.max_lag + 1), out / "weights")
+    _write_ingest(graph, report, out / "ingest")
 
     coverings: dict[str, Covering] = {}
     params = FitnessParams(alpha=args.alpha)

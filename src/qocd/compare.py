@@ -38,15 +38,13 @@ def _overlaps(x: Covering, y: Covering,
     return keys // len(y.sizes), keys % len(y.sizes), n11
 
 
-def _h(count: int | np.ndarray, n: int):
+def _h(count: np.ndarray, n: int) -> np.ndarray:
     """-p log2 p for p = count/n, elementwise, with h(0) = 0."""
     p = np.asarray(count, dtype=np.float64) / n
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
     out = np.zeros_like(p)
     nz = p > 0
     out[nz] = -p[nz] * np.log2(p[nz])
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _cell_terms(h11, h10, h01, h00, hy) -> np.ndarray:

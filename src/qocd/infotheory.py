@@ -46,7 +46,7 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
 
     Symbols may be anything hashable; frequencies are empirical.
     """
-    counts = Counter(_iter_symbols(symbols))
+    counts = Counter(symbols)
     n = sum(counts.values())
     if n == 0:
         raise ValueError("no samples")
@@ -57,13 +57,6 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
         observed_alphabet=alphabet,
         samples=n,
     )
-
-
-def _iter_symbols(symbols):
-    if isinstance(symbols, np.ndarray):
-        return (tuple(s) if isinstance(s, np.ndarray) else s.item()
-                for s in symbols)
-    return iter(symbols)
 
 
 def as_bits(series: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import csv
 import json
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -171,27 +172,16 @@ class StructuralGraph:
         return tuple((nodes[v], nodes[u])
                      for v, u in zip(self.src.tolist(), self.dst.tolist()))
 
-    def subgraph(self, keep: Iterable[str]) -> "StructuralGraph":
-        """Induced subgraph on ``keep``."""
-        keep_set = frozenset(keep)
-        mask = np.fromiter((node in keep_set for node in self.nodes),
-                           dtype=bool, count=len(self.nodes))
+    def subgraph(self, keep: np.ndarray) -> "StructuralGraph":
+        """Induced subgraph on the nodes that the bool mask ``keep`` marks."""
+        mask = np.asarray(keep)
+        if mask.dtype != bool or mask.shape != (len(self.nodes),):
+            raise ValueError(f"need a bool mask of {len(self.nodes)} nodes")
         renumber = np.cumsum(mask) - 1
         inside = mask[self.src] & mask[self.dst]
-        return StructuralGraph(
-            nodes=tuple(node for node, kept in zip(self.nodes, mask) if kept),
-            src=renumber[self.src[inside]], dst=renumber[self.dst[inside]])
-
-
-@dataclass(frozen=True)
-class InfoEventCounts:
-    """Per-user counts of outgoing and incoming information events."""
-
-    outgoing: dict[str, int]
-    incoming: dict[str, int]
-
-    def for_user(self, user: str) -> tuple[int, int]:
-        return self.outgoing.get(user, 0), self.incoming.get(user, 0)
+        return StructuralGraph(tuple(compress(self.nodes, mask.tolist())),
+                               renumber[self.src[inside]],
+                               renumber[self.dst[inside]])
 
 
 @dataclass(frozen=True)
@@ -344,8 +334,9 @@ def write_follow_edges(graph: StructuralGraph, path) -> None:
     write_csv(path, ["followee", "follower"], graph.edges)
 
 
-def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEventCounts:
-    """Count outgoing/incoming information events for every graph node.
+def count_information_events(log: EventLog, graph: StructuralGraph,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """(outgoing, incoming) int64 counts per node, in ``graph.nodes`` order.
 
     Outgoing for u: mentions made by u of in-network users, plus retweets of
     u's posts by in-network users. Incoming for u: mentions of u by
@@ -357,52 +348,51 @@ def count_information_events(log: EventLog, graph: StructuralGraph) -> InfoEvent
     mention = inside & (log.kind == MENTION)
     retweet = inside & (log.kind == RETWEET)  # actor rebroadcast target's post
 
-    def tally(*codes) -> dict[str, int]:
-        counts = np.bincount(np.concatenate(codes), minlength=len(graph.nodes))
-        return {node: c for node, c in zip(graph.nodes, counts.tolist()) if c}
+    def tally(*codes) -> np.ndarray:
+        return np.bincount(np.concatenate(codes), minlength=len(graph.nodes))
 
-    return InfoEventCounts(outgoing=tally(actor[mention], target[retweet]),
-                           incoming=tally(target[mention], actor[retweet]))
+    return (tally(actor[mention], target[retweet]),
+            tally(target[mention], actor[retweet]))
 
 
-def filter_active(graph: StructuralGraph, counts: InfoEventCounts,
+def filter_active(graph: StructuralGraph,
+                  counts: tuple[np.ndarray, np.ndarray],
                   threshold: int = 9) -> tuple[StructuralGraph, FilterReport]:
-    """Keep users with at least ``threshold`` outgoing AND incoming events.
+    """Keep users with at least ``threshold`` outgoing AND incoming events,
+    as :func:`count_information_events` counts them on ``graph``.
 
     The threshold applies per event type, so a user must clear it on both
     counts to survive. Returns the induced subgraph and a report.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    kept = frozenset(node for node in graph.nodes
-                     if min(counts.for_user(node)) >= threshold)
-    report = FilterReport(
-        kept=kept,
-        removed_inactive=frozenset(graph.nodes) - kept,
+    active = graph.subgraph(np.minimum(*counts) >= threshold)
+    kept = frozenset(active.nodes)
+    return active, FilterReport(
+        kept=kept, removed_inactive=frozenset(graph.nodes) - kept,
         thresholds={"outgoing": threshold, "incoming": threshold,
-                    "rule": "outgoing >= t AND incoming >= t (per-type)"},
-    )
-    return graph.subgraph(kept), report
+                    "rule": "outgoing >= t AND incoming >= t (per-type)"})
 
 
 def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
     """Restrict to the largest strongly connected component.
 
     Size ties are broken toward the component containing the smallest node
-    id (lexicographic byte order).
+    code, which is the smallest id in lexicographic byte order.
     """
     import networkx as nx  # lazily: slow to import, and only needed here
 
     if not graph.nodes:
         raise ValueError("empty graph")
     g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    g.add_edges_from(graph.edges)
+    g.add_nodes_from(range(len(graph.nodes)))
+    g.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
     giant = min(nx.strongly_connected_components(g),
                 key=lambda c: (-len(c), min(c)))
-    report = FilterReport(kept=frozenset(giant),
-                          removed_not_in_gscc=frozenset(graph.nodes) - giant)
-    return graph.subgraph(giant), report
+    final = graph.subgraph(np.isin(np.arange(len(graph.nodes)), list(giant)))
+    kept = frozenset(final.nodes)
+    return final, FilterReport(
+        kept=kept, removed_not_in_gscc=frozenset(graph.nodes) - kept)
 
 
 def combine_reports(active: FilterReport, scc: FilterReport) -> FilterReport:

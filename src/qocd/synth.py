@@ -12,6 +12,7 @@ pipeline run end to end on known ground truth.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -20,7 +21,7 @@ import numpy as np
 from .activity import MAX_CELLS
 from .communities import Covering
 from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
-                     StructuralGraph, open_output, write_csv)
+                     StructuralGraph, _interned, open_output, write_csv)
 
 
 # the paper's scale; the dense follow draw holds about 18 B per node pair
@@ -185,52 +186,60 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
     own_pools = [np.flatnonzero(col).tolist() for col in member.T]
     post_actor, post_bin = np.nonzero(activity)  # node by node, bins rising
-    post_tags = []  # "" for a post without one
+    codes: dict[str, int] = {}  # tag -> code in order of first draw
+    post_tag = array("i")  # -1 for a post without one
     for i in post_actor.tolist():
-        tag, own = "", own_pools[i]
+        tag, own = -1, own_pools[i]
         if rng.random() < cfg.hashtag_rate:
             if own and rng.random() < cfg.own_pool_bias:
                 pool = tag_pools[own[int(rng.integers(len(own)))]]
             else:
                 pool = shared_tags
             if pool:
-                tag = pool[int(rng.integers(len(pool)))]
-        post_tags.append(tag)
+                tag = codes.setdefault(pool[int(rng.integers(len(pool)))],
+                                       len(codes))
+        post_tag.append(tag)
 
     horizon = cfg.bins * cfg.bin_width
-    drawn = []  # (kind, actor, ts, target) of every mention and retweet
+    # every mention and retweet, in the typed columns parse_events uses
+    drawn = kinds, actors, stamps, targets = tuple(map(array, "Biqi"))
     # a mention goes to a follower, a retweet to a followee
     for kind, pools, rate in ((MENTION, follow, cfg.mention_events),
                               (RETWEET, follow.T, cfg.retweet_events)):
         for i in range(n):
-            near = pools[i] & shares[i]  # shares is symmetric
-            drawn += _interaction_events(
-                rng, kind, i, np.flatnonzero(near).tolist(),
-                np.flatnonzero(pools[i]).tolist(), rate=rate,
-                bias=cfg.interaction_intra_bias, horizon=horizon)
+            near = np.flatnonzero(pools[i] & shares[i]).tolist()  # symmetric
+            every = np.flatnonzero(pools[i]).tolist()
+            for _ in range(int(rng.poisson(rate))):
+                stamp = int(rng.integers(horizon))
+                use_near = rng.random() < cfg.interaction_intra_bias
+                pool = near if (use_near and near) else every
+                if pool:
+                    kinds.append(kind)
+                    actors.append(i)
+                    stamps.append(stamp)
+                    targets.append(pool[int(rng.integers(len(pool)))])
 
+    tags, tag_rank = _interned(codes)
     posts = (np.full(len(post_actor), POST), post_actor,
              post_bin * cfg.bin_width, np.full(len(post_actor), -1))
-    kind, actor, ts, target = (np.concatenate(pair) for pair in zip(
-        posts, np.array(drawn, dtype=np.int64).reshape(-1, 4).T))
-    tags, tag = np.unique([""] + post_tags + [""] * len(drawn),
-                          return_inverse=True)  # "" first: code -1, no tag
+    kind, actor, ts, target = (np.concatenate([post, column])
+                               for post, column in zip(posts, drawn))
     name_rank = np.argsort(np.argsort(EVENT_KINDS))  # mention < post < retweet
     order = np.lexsort((target, actor, name_rank[kind], ts))
-    tag = tag[1:][order] - 1
+    tag = np.concatenate([tag_rank[post_tag], np.full(len(kinds), -1)])[order]
     log = EventLog(tuple(ids), kind[order], actor[order], target[order],
-                   ts[order], tuple(tags[1:].tolist()),
+                   ts[order], tags,
                    np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
 
     # ids sort like their indices, and nonzero walks rows in order
     graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
 
-    targets, sources = (np.concatenate(pair) for pair in zip(intra, cross))
+    influenced, sources = (np.concatenate(pair) for pair in zip(intra, cross))
     truth = PlantedTruth(
         covering=Covering(universe=ids, communities=tuple(
             frozenset(compress(ids, row)) for row in member)),
         influence_edges=frozenset((ids[s], ids[t])
-                                  for t, s in zip(targets, sources)))
+                                  for t, s in zip(influenced, sources)))
     return log, graph, truth
 
 
@@ -249,21 +258,6 @@ def _draw_activity(cfg: SynthConfig, rng, influence) -> np.ndarray:
                 boost[targets[activity[t - lag, sources]]] = coupling
         activity[t] = rng.random(n) < cfg.rho + boost
     return activity.T
-
-
-def _interaction_events(rng, kind: int, actor: int, pool_intra: list[int],
-                        pool_all: list[int], rate: float, bias: float,
-                        horizon: int) -> list[tuple[int, int, int, int]]:
-    """(kind, actor, ts, target) of each event one actor draws."""
-    out = []
-    for _ in range(int(rng.poisson(rate))):
-        ts = int(rng.integers(horizon))
-        use_intra = rng.random() < bias
-        pool = pool_intra if (use_intra and pool_intra) else pool_all
-        if not pool:
-            continue
-        out.append((kind, actor, ts, pool[int(rng.integers(len(pool)))]))
-    return out
 
 
 def write_events_jsonl(log: EventLog, path) -> None:

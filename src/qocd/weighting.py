@@ -67,17 +67,6 @@ class WeightedDigraph:
                                          self.values.tolist())))
 
 
-@dataclass(frozen=True)
-class HashtagVector:
-    """Sparse tf-idf profile of one user's hashtag usage."""
-
-    user: str
-    values: Mapping[str, float]
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values.values()))
-
-
 def structural_weights(graph: StructuralGraph) -> WeightedDigraph:
     """Weight 1 on every follow edge."""
     return WeightedDigraph(graph, np.ones(len(graph.src)), "structural")
@@ -130,17 +119,20 @@ def mention_retweet_weights(mention: WeightedDigraph,
 
 
 def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
-                          log_base: float = math.e) -> dict[str, HashtagVector]:
+                          log_base: float = math.e,
+                          ) -> dict[str, dict[str, float]]:
     """tf-idf hashtag vector per user: count(tag) * log(N / users_using_tag).
 
     Tags used by every user score zero and are dropped from the vectors, as
     is any tag a user never used. The log base only rescales the vectors, so
-    downstream cosine weights are base-independent. Each vector holds its
-    tags in the order the user first used them.
+    downstream cosine weights are base-independent. Each vector is a plain
+    ``{tag: value}`` dict in the order the user first used the tags.
     """
-    if not nodes:
-        raise ValueError("need at least one user for tf-idf")
     users = list(nodes)
+    if not users:
+        raise ValueError("need at least one user for tf-idf")
+    if len(set(users)) != len(users):  # N would count a user twice
+        raise ValueError("tf-idf users must be unique")
     poster = np.repeat(log.positions(users)[0], np.diff(log.tag_ptr))
     used = poster >= 0
     width = max(len(log.tags), 1)
@@ -152,26 +144,28 @@ def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
     scale = math.log(log_base)
     idf = [math.log(len(users) / using) / scale if using else 0.0
            for using in np.bincount(tag, minlength=len(log.tags)).tolist()]
-    values: list[dict[str, float]] = [{} for _ in users]
+    vectors: list[dict[str, float]] = [{} for _ in users]
     for u, t, count in zip(who.tolist(), tag.tolist(), counts[order].tolist()):
         if idf[t] > 0:
-            values[u][log.tags[t]] = count * idf[t]
-    return {user: HashtagVector(user=user, values=v)
-            for user, v in zip(users, values)}
+            vectors[u][log.tags[t]] = count * idf[t]
+    return dict(zip(users, vectors))
 
 
-def cosine(a: HashtagVector, b: HashtagVector) -> float:
-    """Cosine similarity of two sparse vectors; 0 if either is all-zero."""
-    if len(a.values) > len(b.values):
+def cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+    """Cosine similarity of two sparse ``{tag: value}`` vectors; 0 if either
+    is all-zero. The dot product runs over the shorter one."""
+    if len(a) > len(b):
         a, b = b, a
-    dot = sum(v * b.values.get(tag, 0.0) for tag, v in a.values.items())
+    dot = sum(v * b.get(tag, 0.0) for tag, v in a.items())
     if dot == 0.0:
         return 0.0
-    return min(1.0, dot / (a.norm() * b.norm()))
+    norm_a, norm_b = (math.sqrt(sum(v * v for v in vec.values()))
+                      for vec in (a, b))
+    return min(1.0, dot / (norm_a * norm_b))
 
 
 def hashtag_similarity_weights(graph: StructuralGraph,
-                               vectors: dict[str, HashtagVector],
+                               vectors: Mapping[str, Mapping[str, float]],
                                ) -> WeightedDigraph:
     """Cosine similarity of the endpoint users' hashtag vectors."""
     rows = [vectors[node] for node in graph.nodes]

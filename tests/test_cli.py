@@ -395,6 +395,7 @@ def test_pipeline_rejects_an_activity_matrix_above_the_bound(tmp_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert ("2 nodes x 1666666666667 bins of width 600 exceed"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()  # not even ingest/
 
 
 def test_report_reads_the_graph_once(ingested, tmp_path, monkeypatch):
@@ -462,6 +463,31 @@ def test_data_errors_exit_two(tmp_path):
     bad.write_text("nope\n")
     assert main(["detect", "--weights", str(bad),
                  "-o", str(tmp_path / "c.txt")]) == 2
+
+
+MUTUAL = "followee,follower\na,b\nb,a\n"
+
+
+@pytest.mark.parametrize("command, files, message", [
+    ("ingest", {"events.jsonl": "", "follows.csv": ""},
+     "empty follow-edge file"),
+    ("ingest", {"follows.csv": MUTUAL, "events.jsonl":
+                '{"kind":"mention","actor":"a","ts":0,"target":"b"}\n'},
+     "no users survive the activity filter"),
+    ("detect", {"weights_x.csv": "source,target,weight\na,b,1\nb,a\n"},
+     "bad weight row"),
+], ids=["empty-follows", "nobody-active", "short-weight-row"])
+def test_bad_input_files_exit_two_before_output(tmp_path, capsys, command,
+                                                files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    argv = {"ingest": ["ingest", "-i", str(tmp_path), "-o", str(out)],
+            "detect": ["detect", "--weights", str(tmp_path / "weights_x.csv"),
+                       "-o", str(out)]}[command]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "edges"])

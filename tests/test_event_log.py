@@ -63,7 +63,8 @@ def test_consumers_equal_the_record_loops():
         nodes = graph.nodes
 
         counts = count_information_events(log, graph)
-        assert (counts.outgoing, counts.incoming) == \
+        assert tuple({node: c for node, c in zip(nodes, column.tolist()) if c}
+                     for column in counts) == \
             loop_information_counts(records, nodes)
 
         for kind, build in (("mention", mention_share_weights),
@@ -78,7 +79,7 @@ def test_consumers_equal_the_record_loops():
             assert list(vectors) == list(expected)
             for user, vector in vectors.items():
                 # insertion order too: cosine sums in it
-                assert list(vector.values.items()) == \
+                assert list(vector.items()) == \
                     list(expected[user].items())
 
         width = int(rng.choice([1, 7, 600]))
@@ -100,7 +101,7 @@ def test_post_tags_are_normalized_and_repeats_kept():
                    "hashtags": ["#Go", "go", "ECO"]}])
     assert log.tags == ("eco", "go")
     assert log.tag_ids.tolist() == [1, 1, 0]
-    assert hashtag_tfidf_vectors(log, ["a", "b"])["a"].values == \
+    assert hashtag_tfidf_vectors(log, ["a", "b"])["a"] == \
         pytest.approx({"go": 2 * np.log(2), "eco": np.log(2)})
 
 

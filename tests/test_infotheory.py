@@ -35,6 +35,7 @@ class TestPluginEntropy:
             est = plugin_entropy(data.tolist())
             expected = est.plugin + (est.observed_alphabet - 1) / (2 * est.samples)
             assert est.miller_madow == pytest.approx(expected, abs=1e-15)
+            assert plugin_entropy(data) == est  # a 1-D array counts the same
 
     def test_empty_is_an_error(self):
         with pytest.raises(ValueError, match="no samples"):

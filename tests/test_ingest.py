@@ -84,45 +84,83 @@ def test_structural_graph_rejects_codes_a_cast_would_change(src):
         StructuralGraph(("a", "b"), src, [1])
 
 
+@pytest.mark.parametrize("nodes, src, dst, message", [
+    (("b", "a"), [], [], "sorted and unique"),
+    (("a", "b"), [0, 1], [1], "equal length"),
+    (("a", "b"), [0], [2], "outside the node set"),
+    (("a", "b", "c"), [1, 0], [2, 1], "sorted by"),
+    (("a", "b"), [0, 0], [1, 1], "without duplicates"),
+], ids=["unsorted-nodes", "ragged", "endpoint-out-of-range", "unsorted-edges",
+        "repeated-edge"])
+def test_structural_graph_rejects_bad_arrays(nodes, src, dst, message):
+    with pytest.raises(ValueError, match=message):
+        StructuralGraph(nodes, src, dst)
+
+
+@pytest.mark.parametrize("keep", [
+    ["a", "b"],                      # names, not a mask
+    np.array([True, False]),         # one entry short
+    np.array([1, 0, 1]),             # codes, not bools
+], ids=["names", "short-mask", "int-mask"])
+def test_subgraph_takes_only_a_bool_mask_over_the_nodes(keep):
+    graph = graph_of(("a", "b"), ("b", "c"))
+    with pytest.raises(ValueError, match="bool mask of 3 nodes"):
+        graph.subgraph(keep)
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t \r"])
+def test_blank_lines_are_neither_parsed_nor_counted(blank):
+    log = parse(blank, '{"kind":"post","actor":"a","ts":3}', blank)
+    assert len(log) == 1 and log.skipped == 0
+
+
 class TestInformationEvents:
     graph = graph_of(("a", "b"), ("b", "a"))
 
+    def counts(self, log):
+        """user -> (outgoing, incoming), read from the two count arrays."""
+        outgoing, incoming = count_information_events(log, self.graph)
+        assert outgoing.dtype == incoming.dtype == np.int64
+        return dict(zip(self.graph.nodes,
+                        zip(outgoing.tolist(), incoming.tolist())))
+
     def test_single_mention(self):
         log = parse('{"kind":"mention","actor":"a","ts":0,"target":"b"}')
-        counts = count_information_events(log, self.graph)
-        assert counts.for_user("a") == (1, 0)
-        assert counts.for_user("b") == (0, 1)
+        counts = self.counts(log)
+        assert counts["a"] == (1, 0)
+        assert counts["b"] == (0, 1)
 
     def test_retweet_credits_original_author(self):
         # b retweets a's post: information flowed out of a, into b
         log = parse('{"kind":"retweet","actor":"b","ts":0,"target":"a"}')
-        counts = count_information_events(log, self.graph)
-        assert counts.for_user("a") == (1, 0)
-        assert counts.for_user("b") == (0, 1)
+        counts = self.counts(log)
+        assert counts["a"] == (1, 0)
+        assert counts["b"] == (0, 1)
 
     def test_out_of_network_events_ignored(self):
         log = parse('{"kind":"mention","actor":"a","ts":0,"target":"zz"}',
                     '{"kind":"retweet","actor":"zz","ts":0,"target":"a"}')
-        counts = count_information_events(log, self.graph)
-        assert counts.for_user("a") == (0, 0)
-        assert counts.for_user("zz") == (0, 0)
+        # zz is no graph node, so it gets no count at all
+        assert self.counts(log) == {"a": (0, 0), "b": (0, 0)}
 
     def test_posts_never_count(self):
         log = parse('{"kind":"post","actor":"a","ts":0}')
-        counts = count_information_events(log, self.graph)
-        assert counts.outgoing == {} and counts.incoming == {}
+        counts = self.counts(log)
+        assert counts == {"a": (0, 0), "b": (0, 0)}
 
 
-def counts_for(mapping):
-    from qocd.ingest import InfoEventCounts
-    return InfoEventCounts(outgoing={u: o for u, (o, _) in mapping.items()},
-                           incoming={u: i for u, (_, i) in mapping.items()})
+def counts_for(graph, mapping):
+    """(outgoing, incoming) arrays in ``graph.nodes`` order from a
+    user -> (outgoing, incoming) mapping; users not in it count 0."""
+    pairs = np.array([mapping.get(node, (0, 0)) for node in graph.nodes],
+                     dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 class TestFilterActive:
     def test_boundary_kept_and_removed(self):
         graph = graph_of(("a", "b"), ("b", "a"))
-        counts = counts_for({"a": (9, 9), "b": (9, 8)})
+        counts = counts_for(graph, {"a": (9, 9), "b": (9, 8)})
         kept, report = filter_active(graph, counts, threshold=9)
         assert kept.nodes == ("a",)
         assert report.removed_inactive == frozenset({"b"})
@@ -130,20 +168,21 @@ class TestFilterActive:
 
     def test_threshold_zero_keeps_everything(self):
         graph = graph_of(("a", "b"), ("c", "d"))
-        kept, report = filter_active(graph, counts_for({}), threshold=0)
+        kept, report = filter_active(graph, counts_for(graph, {}), threshold=0)
         assert (kept.nodes, kept.edges) == (graph.nodes, graph.edges)
         assert report.removed_inactive == frozenset()
 
     def test_idempotent_at_fixed_counts(self):
         graph = graph_of(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"))
-        counts = counts_for({"a": (10, 10), "b": (12, 12), "c": (1, 50)})
-        once, _ = filter_active(graph, counts, 9)
-        twice, _ = filter_active(once, counts, 9)
+        mapping = {"a": (10, 10), "b": (12, 12), "c": (1, 50)}
+        once, _ = filter_active(graph, counts_for(graph, mapping), 9)
+        twice, _ = filter_active(once, counts_for(once, mapping), 9)
         assert (once.nodes, once.edges) == (twice.nodes, twice.edges)
 
     def test_negative_threshold_rejected(self):
+        graph = graph_of(("a", "b"))
         with pytest.raises(ValueError):
-            filter_active(graph_of(("a", "b")), counts_for({}), -1)
+            filter_active(graph, counts_for(graph, {}), -1)
 
 
 class TestGiantScc:
@@ -186,7 +225,8 @@ class TestGiantScc:
 
 def test_combined_report_partitions_input_nodes():
     graph = graph_of(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("d", "e"))
-    counts = counts_for({"a": (9, 9), "b": (9, 9), "c": (9, 9), "d": (0, 0)})
+    counts = counts_for(graph, {"a": (9, 9), "b": (9, 9), "c": (9, 9),
+                                "d": (0, 0)})
     active, rep1 = filter_active(graph, counts, 9)
     final, rep2 = giant_scc(active)
     merged = combine_reports(rep1, rep2)
@@ -207,8 +247,9 @@ def test_kept_users_meet_thresholds_measured_prefilter():
     counts = count_information_events(log, graph)
     active, _ = filter_active(graph, counts, 9)
     final, _ = giant_scc(active)
+    measured = dict(zip(graph.nodes, zip(*(c.tolist() for c in counts))))
     for user in final.nodes:
-        out_n, in_n = counts.for_user(user)
+        out_n, in_n = measured[user]
         assert out_n >= 9 and in_n >= 9
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qocd.ingest import StructuralGraph, parse_events
-from qocd.weighting import (HashtagVector, WeightedDigraph, cosine,
+from qocd.weighting import (WeightedDigraph, cosine,
                             hashtag_similarity_weights, hashtag_tfidf_vectors,
                             mention_retweet_weights, mention_share_weights,
                             orphans, retweet_share_weights, structural_weights)
@@ -112,43 +112,46 @@ class TestHashtagVectors:
         nodes = {"a", "b", "c", "d"}
         lines = [tagged_post("a", ["go"])] * 5 + [tagged_post("b", ["go"])]
         vectors = hashtag_tfidf_vectors(log_of(*lines), nodes)
-        assert vectors["a"].values["go"] == pytest.approx(5 * math.log(2))
-        assert vectors["b"].values["go"] == pytest.approx(math.log(2))
+        assert vectors["a"]["go"] == pytest.approx(5 * math.log(2))
+        assert vectors["b"]["go"] == pytest.approx(math.log(2))
 
     def test_universal_tag_scores_zero(self):
         nodes = {"a", "b"}
         lines = [tagged_post("a", ["everyone"]), tagged_post("b", ["everyone"])]
         vectors = hashtag_tfidf_vectors(log_of(*lines), nodes)
-        assert vectors["a"].values == {}
+        assert vectors["a"] == {}
 
     def test_user_without_hashtags_has_empty_vector(self):
         vectors = hashtag_tfidf_vectors(log_of(tagged_post("a", ["x"])),
                                         {"a", "b"})
-        assert vectors["b"].values == {}
+        assert vectors["b"] == {}
 
     def test_no_users_is_an_error(self):
         with pytest.raises(ValueError):
             hashtag_tfidf_vectors(log_of(), set())
 
+    def test_repeated_users_are_an_error(self):
+        # a repeat would count toward N: idf ln 3 where ["a", "b"] gives ln 2
+        with pytest.raises(ValueError, match="unique"):
+            hashtag_tfidf_vectors(log_of(tagged_post("a", ["x"])),
+                                  ["a", "a", "b"])
+
 
 class TestCosine:
     def test_identical_vectors(self):
-        v = HashtagVector("a", {"x": 2.0, "y": 1.0})
+        v = {"x": 2.0, "y": 1.0}
         assert cosine(v, v) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        a = HashtagVector("a", {"x": 1.0})
-        b = HashtagVector("b", {"y": 1.0})
+        a, b = {"x": 1.0}, {"y": 1.0}
         assert cosine(a, b) == 0.0
 
     def test_half_overlap(self):
-        a = HashtagVector("a", {"x": 1.0, "y": 1.0})
-        b = HashtagVector("b", {"x": 1.0, "z": 1.0})
+        a, b = {"x": 1.0, "y": 1.0}, {"x": 1.0, "z": 1.0}
         assert cosine(a, b) == pytest.approx(0.5)
 
     def test_zero_vector(self):
-        a = HashtagVector("a", {})
-        b = HashtagVector("b", {"x": 1.0})
+        a, b = {}, {"x": 1.0}
         assert cosine(a, b) == 0.0
 
 
