@@ -141,7 +141,7 @@ def cmd_synth(args) -> int:
     write_covering(truth.covering, out / "planted_covering.txt")
     write_influence_edges(truth, out / "planted_influence.csv")
     write_json(out / "config.json", asdict(cfg))
-    print(f"synth: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
+    print(f"synth: {len(graph.nodes)} nodes, {len(graph.src)} edges, "
           f"{len(log)} events -> {out}")
     return 0
 

@@ -24,11 +24,18 @@ from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
                      StructuralGraph, _interned, open_output, write_csv)
 
 
-# the paper's scale; the dense follow draw holds about 18 B per node pair
+# the paper's scale: the follow and shares matrices take 1 B per node pair each
 MAX_NODES = 10_000
+# expected events; synth peaks at about 65 B each, so 2^26 take about 4.4 GB,
+# and the defaults at 10^4 nodes and T = 9072 expect 4.1e7
+MAX_EVENTS = 2**26
+_SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw slice
+_WRITE_LINES = 1024  # event lines per write
 COUNTS = ("nodes", "communities", "bins", "bin_width", "influence_in_degree",
           "influence_lag", "cross_influencers", "cross_span", "hashtag_pool",
           "shared_pool", "seed")
+PROBS = ("overlap_fraction", "p_in", "p_out", "rho", "cross_follow_prob",
+         "hashtag_rate", "own_pool_bias", "interaction_intra_bias")
 
 
 @dataclass(frozen=True)
@@ -64,16 +71,8 @@ class SynthConfig:
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        probs = {
-            "overlap_fraction": self.overlap_fraction, "p_in": self.p_in,
-            "p_out": self.p_out, "rho": self.rho,
-            "cross_follow_prob": self.cross_follow_prob,
-            "hashtag_rate": self.hashtag_rate,
-            "own_pool_bias": self.own_pool_bias,
-            "interaction_intra_bias": self.interaction_intra_bias,
-        }
-        for name, p in probs.items():
-            if not 0.0 <= p <= 1.0:
+        for name in PROBS:
+            if not 0.0 <= (p := getattr(self, name)) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.p_in <= self.p_out:
             raise ValueError("planted structure needs p_in > p_out")
@@ -99,6 +98,12 @@ class SynthConfig:
         if int(self.nodes) * int(self.bins) > MAX_CELLS:
             raise ValueError(f"nodes * bins must be <= {MAX_CELLS}, got "
                              f"{self.nodes} * {self.bins}")
+        posts = (self.rho + max(self.epsilon, cross_eps)) * self.bins
+        events = self.nodes * (posts + self.mention_events + self.retweet_events)
+        if events > MAX_EVENTS:
+            raise ValueError("nodes * ((rho + max(epsilon, cross_epsilon)) * "
+                             "bins + mention_events + retweet_events) must be "
+                             f"<= {MAX_EVENTS} events, got {events:.4g}")
         if not 1 <= self.influence_lag < self.bins:
             raise ValueError("influence lag must fall inside the bin range")
         if self.cross_influencers > self.communities:
@@ -143,12 +148,16 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     ids = _node_ids(cfg.nodes)
     member = _plant_communities(cfg)
     n = cfg.nodes
-    # int8 cannot wrap: a node lies in at most two communities
-    shares = (member.T.astype(np.int8) @ member.astype(np.int8)) > 0
+    shares = np.zeros((n, n), dtype=bool)  # do nodes i and j share one?
+    for block in map(np.flatnonzero, member):
+        shares[np.ix_(block, block)] = True
 
-    thresholds = np.where(shares, cfg.p_in, cfg.p_out)
-    np.fill_diagonal(thresholds, 0.0)
-    follow = rng.random((n, n)) < thresholds  # follow[v, u]: u follows v
+    # row chunks: random() fills row-major, so they draw one (n, n) draw
+    follow = np.empty((n, n), dtype=bool)  # follow[v, u]: u follows v
+    for lo in range(0, n, step := max(1, _SLICE // n)):
+        thresholds = np.where(shares[lo:lo + step], cfg.p_in, cfg.p_out)
+        np.fill_diagonal(thresholds[:, lo:], 0.0)
+        follow[lo:lo + step] = rng.random(thresholds.shape) < thresholds
 
     # influence as (targets, sources) index arrays
     cross_t, cross_s = [], []
@@ -178,35 +187,68 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     intra = _stack(intra_t), _stack(intra_s)
 
     cross_eps = cfg.epsilon if cfg.cross_epsilon is None else cfg.cross_epsilon
-    activity = _draw_activity(cfg, rng, sorted(
-        [(cfg.epsilon, intra), (cross_eps, cross)], key=lambda p: p[0]))
+    # node by node, bins rising
+    post_actor, post_bin = np.nonzero(_draw_activity(cfg, rng, sorted(
+        [(cfg.epsilon, intra), (cross_eps, cross)], key=lambda p: p[0])))
+    codes, post_tag, (kinds, actors, stamps, targets) = _draw_events(
+        cfg, rng, member, follow, shares, post_actor)
+    del shares
+    # ids sort like their indices, and nonzero walks rows in order
+    graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
+    del follow
 
+    m, (tags, tag_rank) = len(post_actor), _interned(codes)  # posts first
+    kind = np.concatenate([np.full(m, POST, dtype=np.uint8), kinds])
+    actor = np.concatenate([post_actor.astype(np.int32), actors])
+    ts = np.concatenate([post_bin * int(cfg.bin_width), stamps])
+    target = np.concatenate([np.full(m, -1, dtype=np.int32), targets])
+    tag = tag_rank[post_tag + array("i", [-1]) * len(kinds)]  # -1: no tag
+    del post_actor, post_bin, post_tag, kinds, actors, stamps, targets
+    name_rank = np.argsort(np.argsort(EVENT_KINDS)).astype(np.uint8)  # by name
+    order = np.lexsort((target, actor, name_rank[kind], ts))
+    kind, actor, target, ts, tag = (a[order] for a in (kind, actor, target,
+                                                       ts, tag))
+    del order
+    log = EventLog(tuple(ids), kind, actor, target, ts, tags,
+                   np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
+
+    influenced, sources = (np.concatenate(pair) for pair in zip(intra, cross))
+    truth = PlantedTruth(
+        covering=Covering(universe=ids, communities=tuple(
+            frozenset(compress(ids, row)) for row in member)),
+        influence_edges=frozenset((ids[s], ids[t])
+                                  for t, s in zip(influenced, sources)))
+    return log, graph, truth
+
+
+def _draw_events(cfg: SynthConfig, rng, member, follow, shares, post_actor):
+    """The draws after the activity: each post's tag code (or -1) and the tag
+    table in order of first draw, then the mention and retweet columns."""
     tag_pools = [[f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
                  for c in range(cfg.communities)]
     shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
     own_pools = [np.flatnonzero(col).tolist() for col in member.T]
-    post_actor, post_bin = np.nonzero(activity)  # node by node, bins rising
-    codes: dict[str, int] = {}  # tag -> code in order of first draw
-    post_tag = array("i")  # -1 for a post without one
-    for i in post_actor.tolist():
-        tag, own = -1, own_pools[i]
-        if rng.random() < cfg.hashtag_rate:
-            if own and rng.random() < cfg.own_pool_bias:
-                pool = tag_pools[own[int(rng.integers(len(own)))]]
-            else:
-                pool = shared_tags
-            if pool:
-                tag = codes.setdefault(pool[int(rng.integers(len(pool)))],
-                                       len(codes))
-        post_tag.append(tag)
+    codes: dict[str, int] = {}
+    post_tag = array("i")
+    for lo in range(0, len(post_actor), _SLICE):
+        for i in post_actor[lo:lo + _SLICE].tolist():
+            tag, own = -1, own_pools[i]
+            if rng.random() < cfg.hashtag_rate:
+                if own and rng.random() < cfg.own_pool_bias:
+                    pool = tag_pools[own[int(rng.integers(len(own)))]]
+                else:
+                    pool = shared_tags
+                if pool:
+                    tag = codes.setdefault(
+                        pool[int(rng.integers(len(pool)))], len(codes))
+            post_tag.append(tag)
 
     horizon = cfg.bins * cfg.bin_width
-    # every mention and retweet, in the typed columns parse_events uses
     drawn = kinds, actors, stamps, targets = tuple(map(array, "Biqi"))
     # a mention goes to a follower, a retweet to a followee
     for kind, pools, rate in ((MENTION, follow, cfg.mention_events),
                               (RETWEET, follow.T, cfg.retweet_events)):
-        for i in range(n):
+        for i in range(cfg.nodes):
             near = np.flatnonzero(pools[i] & shares[i]).tolist()  # symmetric
             every = np.flatnonzero(pools[i]).tolist()
             for _ in range(int(rng.poisson(rate))):
@@ -218,29 +260,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
                     actors.append(i)
                     stamps.append(stamp)
                     targets.append(pool[int(rng.integers(len(pool)))])
-
-    tags, tag_rank = _interned(codes)
-    posts = (np.full(len(post_actor), POST), post_actor,
-             post_bin * cfg.bin_width, np.full(len(post_actor), -1))
-    kind, actor, ts, target = (np.concatenate([post, column])
-                               for post, column in zip(posts, drawn))
-    name_rank = np.argsort(np.argsort(EVENT_KINDS))  # mention < post < retweet
-    order = np.lexsort((target, actor, name_rank[kind], ts))
-    tag = np.concatenate([tag_rank[post_tag], np.full(len(kinds), -1)])[order]
-    log = EventLog(tuple(ids), kind[order], actor[order], target[order],
-                   ts[order], tags,
-                   np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
-
-    # ids sort like their indices, and nonzero walks rows in order
-    graph = StructuralGraph(tuple(ids), *np.nonzero(follow))
-
-    influenced, sources = (np.concatenate(pair) for pair in zip(intra, cross))
-    truth = PlantedTruth(
-        covering=Covering(universe=ids, communities=tuple(
-            frozenset(compress(ids, row)) for row in member)),
-        influence_edges=frozenset((ids[s], ids[t])
-                                  for t, s in zip(influenced, sources)))
-    return log, graph, truth
+    return codes, post_tag, drawn
 
 
 def _draw_activity(cfg: SynthConfig, rng, influence) -> np.ndarray:
@@ -261,14 +281,24 @@ def _draw_activity(cfg: SynthConfig, rng, influence) -> np.ndarray:
 
 
 def write_events_jsonl(log: EventLog, path) -> None:
+    """Each line equals ``json.dumps(record, sort_keys=True)``, joined in key
+    order from pieces json.dumps encoded once per id, tag and kind."""
+    ids = [json.dumps(name) for name in log.ids]
+    targets = [', "target": ' + name for name in ids] + [""]  # -1: a post
+    kinds = [json.dumps(name) for name in EVENT_KINDS]
+    tags = [json.dumps(name) for name in log.tags]
     with open_output(path) as fh:
-        for kind, actor, ts, target, hashtags in log.rows():
-            rec: dict = {"kind": kind, "actor": actor, "ts": ts}
-            if target is not None:
-                rec["target"] = target
-            if hashtags:
-                rec["hashtags"] = list(hashtags)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for lo in range(0, len(log), _WRITE_LINES):
+            ptr = log.tag_ptr[lo:lo + _WRITE_LINES + 1]
+            names = [tags[j] for j in log.tag_ids[ptr[0]:ptr[-1]].tolist()]
+            ptr = (ptr - ptr[0]).tolist()
+            hashtags = [f', "hashtags": [{", ".join(names[a:b])}]' if b > a
+                        else "" for a, b in zip(ptr, ptr[1:])]
+            rows = zip(*(col[lo:lo + _WRITE_LINES].tolist() for col in (
+                log.actor, log.kind, log.target, log.ts)), hashtags)
+            fh.write("".join([f'{{"actor": {ids[a]}{h}, "kind": {kinds[k]}'
+                              f'{targets[t]}, "ts": {s}}}\n'
+                              for a, k, t, s, h in rows]))
 
 
 def write_influence_edges(truth: PlantedTruth, path) -> None:

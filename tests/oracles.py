@@ -640,6 +640,23 @@ def _loop_interaction_events(rng, kind, actor, pool_intra, pool_all, rate,
     return out
 
 
+def json_dumps_events_jsonl(log, path) -> None:
+    """The event-log writer as it stood before its lines were built from
+    pre-encoded pieces: one ``json.dumps`` of a dict per event."""
+    import json
+
+    from qocd.ingest import open_output
+
+    with open_output(path) as fh:
+        for kind, actor, ts, target, hashtags in log.rows():
+            rec: dict = {"kind": kind, "actor": actor, "ts": ts}
+            if target is not None:
+                rec["target"] = target
+            if hashtags:
+                rec["hashtags"] = list(hashtags)
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # The pairwise transfer-entropy kernel as it stood before the window codes:
 # one int64 matrix of k-bit past codes and a second of (k+1)-bit future

@@ -372,6 +372,9 @@ def test_weight_builds_each_share_once(dataset, ingested, tmp_path,
     ["--nodes", "20", "--bins", "100000000"],
     ["--seed", "-1"],
     ["--bins", "100", "--bin-width", "100000000000000000"],
+    ["--nodes", "10000", "--bins", "100000", "--rho", "0.9", "--epsilon",
+     "0.1"],
+    ["--nodes", "100", "--mention-events", "1e9"],
 ])
 def test_synth_bad_config_exits_one_before_output(tmp_path, capsys, flags):
     out = tmp_path / "out"

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qocd.activity import ActivityMatrix, write_series_csv
 from qocd.cli import (_write_nmi_csv, _write_report, read_weight_table,
@@ -20,8 +20,11 @@ from qocd.communities import (Covering, covering_stats, read_covering,
                               write_covering)
 from qocd.ingest import (StructuralGraph, check_ids, parse_events, read_events,
                          read_follow_edges, write_follow_edges)
-from qocd.synth import SynthConfig, generate, write_events_jsonl
+from qocd.synth import (_WRITE_LINES, SynthConfig, generate,
+                        write_events_jsonl)
 from qocd.weighting import WeightedDigraph
+
+from oracles import json_dumps_events_jsonl
 
 ROUND_TRIPS = settings(max_examples=100, deadline=None)
 
@@ -181,6 +184,53 @@ def test_event_log_round_trip(records):
         back = read_events(path)
     assert back.skipped == 0
     assert same_log(back, log)
+
+
+# characters json.dumps escapes or passes through: a quote, a backslash,
+# control characters, a space, non-ASCII, one outside the BMP and a lone
+# surrogate; a tag may not hold whitespace, so it draws on the rest
+odd_ids = st.lists(st.sampled_from(['"', "\\", "\x00", "\x1f", " ", "é", "名",
+                                    "𝄞", "\ud800"]),
+                   min_size=1, max_size=4).map("".join)
+odd_tags = odd_ids.filter(lambda t: t.lower().lstrip("#") == t
+                          and t.split() == [t])
+odd_posts = st.fixed_dictionaries(
+    {"kind": st.just("post"), "actor": odd_ids, "ts": stamps},
+    optional={"hashtags": st.lists(odd_tags, max_size=4)})
+odd_interactions = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["mention", "retweet"]), "actor": odd_ids,
+     "ts": stamps, "target": odd_ids})
+
+
+def written(log, writer) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        writer(log, path)
+        return path.read_bytes()
+
+
+@ROUND_TRIPS
+@given(st.lists(st.one_of(odd_posts, odd_interactions), max_size=12))
+@example([])
+@example([{"kind": "post", "actor": "é", "ts": 0,
+           "hashtags": ["名", "\ud800", "𝄞\\", '"']},
+          {"kind": "retweet", "actor": "\x00", "ts": 2 ** 63 - 1,
+           "target": "\x1f "},
+          {"kind": "post", "actor": "\ud800", "ts": 2 ** 63 - 1,
+           "hashtags": ["a"]}])
+def test_writer_equals_json_dumps_of_each_record(records):
+    log = parse_events(json.dumps(rec) for rec in records)
+    assert len(log) == len(records)
+    assert (written(log, write_events_jsonl)
+            == written(log, json_dumps_events_jsonl))
+
+
+def test_writer_equals_json_dumps_across_chunks():
+    log, _, _ = generate(SynthConfig(nodes=30, communities=3, bins=200,
+                                     rho=0.2, seed=4))
+    assert len(log) > 2 * _WRITE_LINES
+    assert (written(log, write_events_jsonl)
+            == written(log, json_dumps_events_jsonl))
 
 
 def test_generated_log_reads_back_equal(tmp_path):

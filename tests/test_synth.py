@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,12 +150,33 @@ def test_infeasible_configs_are_rejected():
     ("seed", dict(seed=-1)),
     ("bin_width", dict(bins=100, bin_width=10**17)),
     ("nodes", dict(nodes=20, bins=10**8)),
+    ("rho", dict(nodes=10_000, bins=100_000, rho=0.9, epsilon=0.1)),
+    ("mention_events", dict(nodes=100, mention_events=1e9)),
+    ("retweet_events", dict(nodes=10_000, retweet_events=1e4)),
 ])
 def test_validate_rejects_what_generate_cannot_use(field, params):
     # each once passed validate and failed in generate with a TypeError or
-    # a numpy error naming no field, or drew a matrix of nodes x bins cells
+    # a numpy error naming no field, drew a matrix of nodes x bins cells, or
+    # expected more events than memory holds
     with pytest.raises(ValueError, match=field):
         SynthConfig(**params).validate()
+
+
+def test_validate_accepts_the_defaults_at_paper_scale():
+    SynthConfig(nodes=10_000, bins=9072).validate()
+
+
+def test_generate_holds_under_four_bytes_per_node_pair():
+    # the follow draw once held float64 thresholds and numbers for every
+    # node pair at once: 16 B per pair
+    cfg = SynthConfig(nodes=2000, communities=80, bins=20)
+    tracemalloc.start()
+    try:
+        generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cfg.nodes ** 2
 
 
 def test_validate_accepts_numpy_integer_counts():
@@ -197,6 +220,8 @@ ORACLE_CONFIGS = [
     dict(nodes=50, communities=5, bins=100, p_out=0.0, shared_pool=0,
          influence_in_degree=9, rho=0.3, epsilon=0.7, cross_influencers=5,
          cross_span=3, cross_epsilon=0.2),
+    # several follow-draw chunks of synth._SLICE // 600 rows, the last short
+    dict(nodes=600, communities=6, bins=30),
 ]
 
 
