@@ -6,7 +6,7 @@ into inter/intra/mixed classes and reports conditional weight medians,
 including the size CCDF of the detected communities.
 """
 
-from qocd import (EdgeClass, SynthConfig, batch_coarsen, conditional_weights,
+from qocd import (EDGE_CLASSES, SynthConfig, batch_coarsen, conditional_weights,
                   detect_communities, generate, hashtag_similarity_weights,
                   hashtag_tfidf_vectors, mention_retweet_weights,
                   mention_share_weights, nmi_matrix, partition_edges,
@@ -42,12 +42,12 @@ for label, row in zip(labels, matrix):
 # edges by class, with conditional medians, under the lag-1 TE covering
 wg = tables["te_lag1"]
 classes = partition_edges(wg, coverings["te_lag1"])
-report = conditional_weights(wg, classes, bins=20)
+summary = conditional_weights(wg, classes, bins=20)
 print("\nTE lag-1 weights conditioned on edge class (own covering):")
-for cls in EdgeClass:
-    stats = report.per_class[cls]
-    median = "-" if stats.median is None else f"{stats.median:.5f}"
-    print(f"  {cls.value:<6} count {stats.count:>5}   median {median}")
+for name in EDGE_CLASSES:
+    stats = summary["classes"][name]
+    median = "-" if stats["median"] is None else f"{stats['median']:.5f}"
+    print(f"  {name:<6} count {stats['count']:>5}   median {median}")
 
 print("\ncommunity size CCDF (te_lag1 covering):")
 for size, proportion in size_ccdf(coverings["te_lag1"]):

@@ -11,8 +11,8 @@ from .activity import ActivityMatrix, batch_coarsen
 from .communities import (Covering, FitnessParams, covering_stats,
                           detect_communities, read_covering, write_covering)
 from .compare import nmi, nmi_matrix
-from .edgestats import (EdgeClass, classify_edge, conditional_weights,
-                        median_low, partition_edges, size_ccdf)
+from .edgestats import (EDGE_CLASSES, conditional_weights, partition_edges,
+                        size_ccdf)
 from .infotheory import (EntropyEstimate, pairwise_transfer_entropy,
                          plugin_entropy, transfer_entropy)
 from .ingest import (EventLog, FilterReport, StructuralGraph,
@@ -27,14 +27,14 @@ from .weighting import (WeightedDigraph, cosine,
                         transfer_entropy_weights)
 
 __all__ = [
-    "ActivityMatrix", "Covering", "EdgeClass", "EntropyEstimate", "EventLog",
-    "FilterReport", "FitnessParams", "PlantedTruth", "StructuralGraph",
-    "SynthConfig", "WeightedDigraph", "batch_coarsen", "classify_edge",
+    "ActivityMatrix", "Covering", "EDGE_CLASSES", "EntropyEstimate",
+    "EventLog", "FilterReport", "FitnessParams", "PlantedTruth",
+    "StructuralGraph", "SynthConfig", "WeightedDigraph", "batch_coarsen",
     "conditional_weights", "count_information_events", "cosine",
     "covering_stats", "detect_communities", "filter_active", "generate",
     "giant_scc", "hashtag_similarity_weights", "hashtag_tfidf_vectors",
-    "median_low", "mention_retweet_weights", "mention_share_weights", "nmi",
-    "nmi_matrix", "orphans", "pairwise_transfer_entropy", "parse_events",
+    "mention_retweet_weights", "mention_share_weights", "nmi", "nmi_matrix",
+    "orphans", "pairwise_transfer_entropy", "parse_events",
     "partition_edges", "plugin_entropy", "read_covering", "read_events",
     "read_follow_edges", "retweet_share_weights", "size_ccdf",
     "structural_weights", "transfer_entropy", "transfer_entropy_weights",

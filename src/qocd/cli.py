@@ -26,8 +26,7 @@ from .activity import batch_coarsen, write_series_csv
 from .communities import (Covering, FitnessParams, covering_stats,
                           detect_communities, read_covering, write_covering)
 from .compare import nmi_matrix
-from .edgestats import (ConditionalWeightReport, EdgeClass, conditional_weights,
-                        partition_edges, size_ccdf)
+from .edgestats import conditional_weights, partition_edges, size_ccdf
 from .infotheory import MAX_LAG
 from .ingest import (check_ids, combine_reports, count_information_events,
                      filter_active, giant_scc, read_events, read_follow_edges,
@@ -53,16 +52,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bounded(convert, low, strict: bool = False, high=math.inf):
-    """An argparse type: ``convert(text)``, at least ``low`` (or above it,
-    if ``strict``) and at most ``high``, so a bad flag exits 1 before any
-    stage runs."""
+    """An argparse type: ``convert(text)``, finite, at least ``low`` (or
+    above it, if ``strict``) and at most ``high``, so a bad flag exits 1
+    before any stage runs."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not (value > low if strict else value >= low) or value > high:
+        if (not (value > low if strict else value >= low) or value > high
+                or not math.isfinite(value)):
             upper = f" and <= {high}" if high < math.inf else ""
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}{upper}, got {value}")
@@ -279,25 +279,22 @@ def _write_nmi_csv(labels, matrix, path: Path) -> None:
               ([label, *map(_fmt, row)] for label, row in zip(labels, matrix)))
 
 
-def _run_edges(wg: WeightedDigraph, classes: tuple[EdgeClass, ...],
-               label: str, bins: int, out: Path) -> None:
+def _run_edges(wg: WeightedDigraph, classes: numpy.ndarray, label: str,
+               bins: int, out: Path) -> None:
     """Write the report of the weights of ``wg`` conditional on its edge
     ``classes`` under the covering ``label`` to ``out``."""
-    report = conditional_weights(wg, classes, bins=bins)
-    _write_edge_report(report, out, {"covering": label, "weights": wg.scheme})
+    summary = conditional_weights(wg, classes, bins=bins)
+    _write_edge_report(summary, out, {"covering": label, "weights": wg.scheme})
 
 
-def _write_edge_report(report: ConditionalWeightReport, out: Path,
-                       context: dict) -> None:
-    per_class = [(cls.value, report.per_class[cls]) for cls in EdgeClass]
+def _write_edge_report(summary: dict, out: Path, context: dict) -> None:
     write_csv(out / "summary.csv", ["class", "count", "median"],
-              ((name, stats.count,
-                "" if stats.median is None else _fmt(stats.median))
-               for name, stats in per_class))
-    write_json(out / "summary.json", dict(context, **report.to_summary()))
-    for name, stats in per_class:
+              ((name, c["count"], "" if c["median"] is None else _fmt(c["median"]))
+               for name, c in summary["classes"].items()))
+    write_json(out / "summary.json", dict(context, **summary))
+    for name, c in summary["classes"].items():
         write_csv(out / f"ccdf_{name}.csv", ["weight", "proportion"],
-                  ((_fmt(w), _fmt(p)) for w, p in stats.ccdf))
+                  ((_fmt(w), _fmt(p)) for w, p in c["ccdf"]))
 
 
 def cmd_edges(args) -> int:
@@ -424,37 +421,45 @@ def build_parser() -> _Parser:
         p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, filter, and restrict the graph")
+    # flags that several subcommands take, each defined once
+    threshold, weighting, alpha, hist_bins = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    threshold.add_argument("--threshold", type=_non_negative_int, default=9,
+                           help="min outgoing AND incoming information events")
+    weighting.add_argument("--max-lag", type=_lag, default=6)
+    weighting.add_argument("--bin-width", type=_positive_int, default=600)
+    weighting.add_argument("--threads", type=_positive_int, default=1,
+                           help="accepted for compatibility; has no effect")
+    weighting.add_argument("--no-retweet-activity", action="store_true",
+                           help="retweets do not mark the actor as active")
+    weighting.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
+    alpha.add_argument("--alpha", type=_positive_float, default=1.0)
+    hist_bins.add_argument("--hist-bins", type=_positive_int, default=50)
+
+    p = sub.add_parser("ingest", help="parse, filter, and restrict the graph",
+                       parents=[threshold])
     p.add_argument("-i", "--input", default=".")
     p.add_argument("--events", help="events JSONL (default INPUT/events.jsonl)")
     p.add_argument("--follows", help="follow CSV (default INPUT/follows.csv)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--threshold", type=_non_negative_int, default=9,
-                   help="min outgoing AND incoming information events")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("weight", help="build weighted networks")
+    p = sub.add_parser("weight", help="build weighted networks",
+                       parents=[weighting])
     p.add_argument("--events", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--scheme", required=True,
                    choices=list(SCHEMES) + ["all"])
     p.add_argument("--lag", type=_lag, help="single transfer-entropy lag")
-    p.add_argument("--max-lag", type=_lag, default=6)
-    p.add_argument("--bin-width", type=_positive_int, default=600)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--no-retweet-activity", action="store_true",
-                   help="retweets do not mark the actor as active")
-    p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
     p.add_argument("--dump-series", action="store_true",
                    help="also write the binary activity series for debugging")
     p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser("detect", help="detect overlapping communities")
+    p = sub.add_parser("detect", help="detect overlapping communities",
+                       parents=[alpha])
     p.add_argument("--weights", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("compare", help="NMI matrix over covering files")
@@ -464,11 +469,11 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("edges", help="conditional edge-weight statistics")
+    p = sub.add_parser("edges", help="conditional edge-weight statistics",
+                       parents=[hist_bins])
     p.add_argument("--weights", required=True)
     p.add_argument("--covering", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--hist-bins", type=_positive_int, default=50)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("report", help="covering stats, size CCDFs, orphans")
@@ -478,19 +483,11 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
+    p = sub.add_parser("pipeline", help="run every stage end to end",
+                       parents=[threshold, weighting, alpha, hist_bins])
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--threshold", type=_non_negative_int, default=9)
-    p.add_argument("--bin-width", type=_positive_int, default=600)
-    p.add_argument("--max-lag", type=_lag, default=6)
     p.add_argument("--featured-lag", type=_lag, default=4)
-    p.add_argument("--alpha", type=_positive_float, default=1.0)
-    p.add_argument("--hist-bins", type=_positive_int, default=50)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
-    p.add_argument("--no-retweet-activity", action="store_true")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -11,6 +11,7 @@ plain text files instead.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -79,6 +80,18 @@ class Covering:
         return tuple(self.universe[v] for v in alone.tolist())
 
 
+def membership_rows(covering: Covering, nodes: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, row)`` for every membership row of node code ``nodes[i]``,
+    with ``i`` ascending and each node's rows in ascending order."""
+    counts = np.diff(covering.indptr)[nodes]
+    # position of each row within covering.rows: its node's block start
+    # plus a running offset inside the block
+    block_start = covering.indptr[nodes] - (np.cumsum(counts) - counts)
+    at = np.arange(int(counts.sum())) + np.repeat(block_start, counts)
+    return np.repeat(np.arange(len(nodes)), counts), covering.rows[at]
+
+
 @dataclass(frozen=True)
 class FitnessParams:
     """Resolution parameter for the greedy detector; larger alpha favors
@@ -87,8 +100,8 @@ class FitnessParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # also rejects NaN
+            raise ValueError("alpha must be positive and finite")
 
 
 def read_covering(path, universe: Iterable[str] | None = None) -> Covering:
@@ -145,7 +158,11 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
 
     def fitness(w_in: float, w_bnd: float) -> float:
         total = w_in + w_bnd
-        return 0.0 if total <= 0 else w_in / total ** alpha
+        try:  # the power may overflow, or underflow to 0.0
+            return 0.0 if total <= 0 else w_in / total ** alpha
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"alpha {alpha} takes the fitness out of the float "
+                             f"range at a total weight of {total:g}") from None
 
     def move(v: int) -> None:  # v joins, or leaves if it is a member
         nonlocal w_in, w_bnd

@@ -20,20 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .communities import Covering
+from .communities import Covering, membership_rows
 
 
 def _overlaps(x: Covering, y: Covering,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X row, Y row, shared node count) for every pair of rows that meet."""
-    per_node_x = np.diff(x.indptr)
-    node_of_x = np.repeat(np.arange(len(per_node_x)), per_node_x)
-    reps = np.diff(y.indptr)[node_of_x]
-    pair_x = np.repeat(x.rows, reps)
-    # position of each pair's Y row within y.rows: its node's block start
-    # plus a running offset inside the block
-    block_start = y.indptr[node_of_x] - (np.cumsum(reps) - reps)
-    pair_y = y.rows[np.arange(int(reps.sum())) + np.repeat(block_start, reps)]
+    node_of_x = np.repeat(np.arange(len(x.universe)), np.diff(x.indptr))
+    at_x, pair_y = membership_rows(y, node_of_x)
+    pair_x = x.rows[at_x]
     keys, n11 = np.unique(pair_x * len(y.sizes) + pair_y, return_counts=True)
     return keys // len(y.sizes), keys % len(y.sizes), n11
 

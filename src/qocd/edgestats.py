@@ -1,94 +1,45 @@
 """Edge partitioning by covering and conditional weight statistics.
 
 Given a covering, every directed edge falls in exactly one class: inter
-(endpoints share no community), intra (identical membership sets), or mixed
-(some but not all shared). Singleton memberships participate like any other,
-so two distinct singletons always make an inter-edge. Weight distributions
-conditioned on the class are summarized by counts, medians, fixed-width
-histograms, and raw CCDF points so plots need not depend on binning.
+(endpoints share no membership row), intra (identical row sets), or mixed
+(some but not all shared). Singleton rows take part like any other, so two
+distinct singletons always make an inter-edge. A partition is one int8 array
+of codes into ``EDGE_CLASSES``, in edge order. Weight distributions
+conditioned on the class are summarized in one JSON-ready document: counts,
+medians, fixed-width histograms, and raw CCDF points so plots need not
+depend on binning.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .communities import Covering
+from .communities import Covering, membership_rows
 from .weighting import WeightedDigraph
 
-
-class EdgeClass(enum.Enum):
-    INTER = "inter"
-    INTRA = "intra"
-    MIXED = "mixed"
+EDGE_CLASSES = ("inter", "intra", "mixed")
 
 
-def classify_edge(mu: frozenset, mf: frozenset) -> EdgeClass:
-    """Classify an edge from its endpoints' membership-row sets."""
-    if not mu or not mf:
-        raise ValueError("membership sets must be non-empty")
-    if not mu & mf:
-        return EdgeClass.INTER
-    if mu == mf:
-        return EdgeClass.INTRA
-    return EdgeClass.MIXED
-
-
-def partition_edges(wg: WeightedDigraph, covering: Covering,
-                    ) -> tuple[EdgeClass, ...]:
-    """Class of every edge of the graph under the covering, in edge order."""
+def partition_edges(wg: WeightedDigraph, covering: Covering) -> np.ndarray:
+    """Code into ``EDGE_CLASSES`` of every edge under the covering, as an
+    int8 array in edge order."""
     graph = wg.graph
     index = {node: v for v, node in enumerate(covering.universe)}
     missing = [node for node in graph.nodes if node not in index]
     if missing:
         raise ValueError(f"node {missing[0]!r} has no covering membership")
-    indptr, rows = covering.indptr.tolist(), covering.rows.tolist()
-    memberships = [frozenset(rows[indptr[v]:indptr[v + 1]])
-                   for v in map(index.__getitem__, graph.nodes)]
-    return tuple(classify_edge(memberships[v], memberships[u])
-                 for v, u in zip(graph.src.tolist(), graph.dst.tolist()))
-
-
-@dataclass(frozen=True)
-class ClassStats:
-    """Summary of the weights of one edge class."""
-
-    count: int
-    median: float | None
-    histogram: tuple[np.ndarray, np.ndarray] | None  # (bin_edges, counts)
-    ccdf: tuple[tuple[float, float], ...]  # (w, fraction strictly above w)
-
-
-@dataclass(frozen=True)
-class ConditionalWeightReport:
-    scheme: str
-    per_class: dict[EdgeClass, ClassStats]
-
-    def to_summary(self) -> dict:
-        out = {"scheme": self.scheme, "classes": {}}
-        for cls in EdgeClass:
-            stats = self.per_class[cls]
-            entry = {"count": stats.count, "median": stats.median}
-            if stats.histogram is not None:
-                edges, counts = stats.histogram
-                entry["histogram"] = {
-                    "bin_edges": [float(e) for e in edges],
-                    "counts": [int(c) for c in counts],
-                }
-            entry["ccdf"] = [[w, p] for w, p in stats.ccdf]
-            out["classes"][cls.value] = entry
-        return out
-
-
-def median_low(values) -> float:
-    """Median taking the lower of the two middle values for even counts."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("no values")
-    return ordered[(len(ordered) - 1) // 2]
+    code = np.array([index[node] for node in graph.nodes], dtype=np.int64)
+    m = len(graph.src)
+    ends = code[np.concatenate([graph.src, graph.dst])]  # sources, then targets
+    at, row = membership_rows(covering, ends)
+    # a node's rows are distinct, so an (edge, row) key occurs twice exactly
+    # when both endpoints hold the row
+    keys = np.sort(at % m * len(covering.sizes) + row)
+    shared = np.bincount(keys[1:][keys[1:] == keys[:-1]] // len(covering.sizes),
+                         minlength=m)
+    degree = np.diff(covering.indptr)[ends]
+    same = (shared == degree[:m]) & (shared == degree[m:])
+    return np.where(shared == 0, 0, np.where(same, 1, 2)).astype(np.int8)
 
 
 def weight_ccdf(values) -> tuple[tuple[float, float], ...]:
@@ -103,29 +54,38 @@ def weight_ccdf(values) -> tuple[tuple[float, float], ...]:
                  for w, count in zip(distinct.tolist(), above.tolist()))
 
 
-def conditional_weights(wg: WeightedDigraph, classes: Sequence[EdgeClass],
-                        bins: int = 50) -> ConditionalWeightReport:
+def conditional_weights(wg: WeightedDigraph, classes: np.ndarray,
+                        bins: int = 50) -> dict:
     """Count, median, histogram, and CCDF of weights per edge class.
 
-    ``classes`` holds one class per edge, in edge order. Histograms share
-    bin edges across classes (equal-width over the full observed weight
-    range) so the three distributions are comparable.
+    ``classes`` holds one code into ``EDGE_CLASSES`` per edge, in edge
+    order. The result is ``{"scheme", "classes": {name: {"count", "median",
+    "histogram", "ccdf"}}}``, with no histogram for an empty class. The
+    median is the lower middle value. Histograms share bin edges across
+    classes (equal-width over the full observed weight range) so the three
+    distributions are comparable.
     """
+    classes = np.asarray(classes)
     if len(classes) != len(wg.values):
         raise ValueError(f"{len(classes)} edge classes for "
                          f"{len(wg.values)} edges")
-    grouped: dict[EdgeClass, list[float]] = {cls: [] for cls in EdgeClass}
-    for cls, w in zip(classes, wg.values.tolist()):
-        grouped[cls].append(w)
-    edges = None  # equal-width bins over the full weight range
-    if len(wg.values):
+    if len(wg.values):  # equal-width bins over the full weight range
         lo, hi = float(wg.values.min()), float(wg.values.max())
         edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
-    per_class = {cls: ClassStats(
-        count=len(ws), median=median_low(ws) if ws else None,
-        histogram=(edges, np.histogram(ws, bins=edges)[0]) if ws else None,
-        ccdf=weight_ccdf(ws)) for cls, ws in grouped.items()}
-    return ConditionalWeightReport(scheme=wg.scheme, per_class=per_class)
+    summary = {"scheme": wg.scheme, "classes": {}}
+    for code, name in enumerate(EDGE_CLASSES):
+        ws = wg.values[classes == code]
+        # stable, so tied weights such as -0.0 and 0.0 keep edge order
+        ordered = np.sort(ws, kind="stable")
+        entry = {"count": len(ws), "median": ordered[(len(ws) - 1) // 2].item()
+                 if len(ws) else None}
+        if len(ws):
+            entry["histogram"] = {
+                "bin_edges": edges.tolist(),
+                "counts": np.histogram(ws, bins=edges)[0].tolist()}
+        entry["ccdf"] = [[w, p] for w, p in weight_ccdf(ws)]
+        summary["classes"][name] = entry
+    return summary
 
 
 def size_ccdf(covering: Covering) -> list[tuple[int, float]]:

@@ -206,6 +206,17 @@ def dense_nmi(c1, c2) -> float:
                         + _dense_mean_conditional_terms(y_rows, x_rows))
 
 
+def classify_edge(mu: frozenset, mf: frozenset) -> str:
+    """Classify an edge from its endpoints' membership-row sets."""
+    if not mu or not mf:
+        raise ValueError("membership sets must be non-empty")
+    if not mu & mf:
+        return "inter"
+    if mu == mf:
+        return "intra"
+    return "mixed"
+
+
 def loop_partition_edges(wg, covering) -> list[str]:
     """Class ('inter', 'intra' or 'mixed') of each edge of ``wg``, in edge
     order, from membership-id sets: a node's community indices, or
@@ -222,14 +233,48 @@ def loop_partition_edges(wg, covering) -> list[str]:
         for node in (v, u):
             if node not in memberships:
                 raise ValueError(f"node {node!r} has no covering membership")
-        mu, mf = memberships[v], memberships[u]
-        if not mu & mf:
-            classes.append("inter")
-        elif mu == mf:
-            classes.append("intra")
-        else:
-            classes.append("mixed")
+        classes.append(classify_edge(frozenset(memberships[v]),
+                                     frozenset(memberships[u])))
     return classes
+
+
+def median_low(values) -> float:
+    """Median taking the lower of the two middle values for even counts."""
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("no values")
+    return ordered[(len(ordered) - 1) // 2]
+
+
+def loop_conditional_weights(wg, classes, bins: int = 50) -> dict:
+    """The summary document of the weights of ``wg`` per edge class, from
+    one class name per edge: weights grouped in Python lists, the median by
+    ``sorted``, then the dict built class by class."""
+    from qocd.edgestats import weight_ccdf
+
+    names = ("inter", "intra", "mixed")
+    if len(classes) != len(wg.values):
+        raise ValueError(f"{len(classes)} edge classes for "
+                         f"{len(wg.values)} edges")
+    grouped: dict[str, list[float]] = {cls: [] for cls in names}
+    for cls, w in zip(classes, wg.values.tolist()):
+        grouped[cls].append(w)
+    edges = None  # equal-width bins over the full weight range
+    if len(wg.values):
+        lo, hi = float(wg.values.min()), float(wg.values.max())
+        edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
+    out = {"scheme": wg.scheme, "classes": {}}
+    for cls in names:
+        ws = grouped[cls]
+        entry = {"count": len(ws), "median": median_low(ws) if ws else None}
+        if ws:
+            entry["histogram"] = {
+                "bin_edges": [float(e) for e in edges],
+                "counts": [int(c) for c in np.histogram(ws, bins=edges)[0]],
+            }
+        entry["ccdf"] = [[w, p] for w, p in weight_ccdf(ws)]
+        out["classes"][cls] = entry
+    return out
 
 
 def loop_weight_ccdf(values) -> tuple:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qocd
+import qocd.cli
 from qocd.cli import main, read_weight_table
 from qocd.ingest import read_follow_edges
 
@@ -270,6 +271,7 @@ def test_usage_errors_exit_one():
     ["--alpha", "nan"],
     ["--threshold", "-5"],
     ["--threads", "0"],
+    ["--alpha", "inf"],
 ])
 def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -517,6 +519,53 @@ def test_bad_weight_names_its_file_line_and_row(tmp_path, capsys, weight):
     err = capsys.readouterr().err
     assert f"{table} line 3: ['b', 'c', '{weight}']" in err
     assert not out.exists()
+
+
+def test_alpha_that_overflows_the_fitness_exits_two(dataset, ingested,
+                                                    tmp_path, capsys):
+    # every structural weight is 1, so a seed's total weight is its degree,
+    # and degree ** 400 is past the float range
+    assert main(["weight", "--events", str(dataset / "events.jsonl"),
+                 "--graph", str(ingested / "graph.csv"),
+                 "--scheme", "structural", "-o", str(tmp_path)]) == 0
+    out = tmp_path / "c.txt"
+    assert main(["detect", "--weights", str(tmp_path / "weights_structural.csv"),
+                 "--alpha", "400", "-o", str(out)]) == 2
+    assert "alpha 400" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_alpha_that_underflows_the_fitness_exits_two(tmp_path, capsys):
+    table = tmp_path / "weights_x.csv"
+    table.write_text("source,target,weight\n"
+                     "a,b,1e-200\nb,c,1e-200\nc,a,1e-200\n")
+    out = tmp_path / "c.txt"
+    # (2e-200) ** 2 underflows to 0.0
+    assert main(["detect", "--weights", str(table), "--alpha", "2",
+                 "-o", str(out)]) == 2
+    assert "alpha 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shared_flags_read_one_default_in_every_subcommand():
+    required = {
+        "ingest": ["-o", "x"],
+        "weight": ["--events", "e", "--graph", "g", "-o", "x",
+                   "--scheme", "all"],
+        "detect": ["--weights", "w", "-o", "x"],
+        "edges": ["--weights", "w", "--covering", "c", "-o", "x"],
+        "pipeline": ["-i", "d", "-o", "x"],
+    }
+    parser = qocd.cli.build_parser()
+    values = {}
+    for command, argv in required.items():
+        for name, value in vars(parser.parse_args([command, *argv])).items():
+            values.setdefault(name, {})[command] = value
+    for name in ("threshold", "bin_width", "max_lag", "threads",
+                 "tfidf_log_base", "no_retweet_activity", "alpha",
+                 "hist_bins"):
+        assert "pipeline" in values[name] and len(values[name]) == 2, name
+        assert len(set(values[name].values())) == 1, values[name]
 
 
 def test_weight_table_rejects_a_repeated_edge(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -224,6 +225,9 @@ class TestDetect:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             FitnessParams(alpha=0.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                FitnessParams(alpha=alpha)
 
     def test_higher_alpha_never_grows_communities(self):
         weights = triangle_weights()

@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from qocd.communities import Covering
-from qocd.edgestats import (EdgeClass, classify_edge, conditional_weights,
-                            median_low, partition_edges, size_ccdf,
-                            weight_ccdf)
+from qocd.edgestats import (EDGE_CLASSES, conditional_weights,
+                            partition_edges, size_ccdf, weight_ccdf)
 from qocd.weighting import WeightedDigraph
 
-from oracles import loop_partition_edges, loop_weight_ccdf
+from oracles import (loop_conditional_weights, loop_partition_edges,
+                     loop_weight_ccdf)
 
 
 def cov(universe, *groups):
@@ -15,15 +17,40 @@ def cov(universe, *groups):
                     communities=tuple(frozenset(g) for g in groups))
 
 
+def classify_edge(mu, mf):
+    """The class of the edge u -> f under a covering that puts u in the
+    communities named in ``mu`` and f in those named in ``mf``. Each
+    community also holds a member of its own, so no two coincide, and an
+    endpoint with an empty set is left out of the covering."""
+    holders = {"u": mu, "f": mf}
+    groups = [{"pad" + x} | {n for n, names in holders.items() if x in names}
+              for x in sorted(mu | mf)]
+    wg = WeightedDigraph.from_mapping({("u", "f"): 1.0}, "t")
+    (code,) = partition_edges(wg, cov(set().union(*groups), *groups))
+    return EDGE_CLASSES[code]
+
+
+def median_low(values):
+    """The median that ``conditional_weights`` reports for a class holding
+    ``values``; an empty class has none."""
+    wg = WeightedDigraph.from_mapping(
+        {(f"n{i}", f"m{i}"): float(w) for i, w in enumerate(values)}, "t")
+    summary = conditional_weights(wg, np.zeros(len(values), dtype=np.int8))
+    median = summary["classes"]["inter"]["median"]
+    if median is None:
+        raise ValueError("no values")
+    return median
+
+
 class TestClassify:
     def test_identical_memberships(self):
-        assert classify_edge(frozenset("A"), frozenset("A")) is EdgeClass.INTRA
+        assert classify_edge(frozenset("A"), frozenset("A")) == "intra"
 
     def test_disjoint_memberships(self):
-        assert classify_edge(frozenset("A"), frozenset("B")) is EdgeClass.INTER
+        assert classify_edge(frozenset("A"), frozenset("B")) == "inter"
 
     def test_partial_overlap(self):
-        assert classify_edge(frozenset("AB"), frozenset("A")) is EdgeClass.MIXED
+        assert classify_edge(frozenset("AB"), frozenset("A")) == "mixed"
 
     def test_empty_membership_is_an_error(self):
         with pytest.raises(ValueError):
@@ -37,29 +64,31 @@ class TestClassify:
                                       replace=False))
             mf = frozenset(rng.choice(labels, size=int(rng.integers(1, 4)),
                                       replace=False))
-            assert classify_edge(mu, mf) is classify_edge(mf, mu)
+            assert classify_edge(mu, mf) == classify_edge(mf, mu)
 
 
 class TestPartition:
     def test_singleton_endpoints_are_inter(self):
         wg = WeightedDigraph.from_mapping({("a", "b"): 1.0}, "t")
-        assert partition_edges(wg, cov("ab")) == (EdgeClass.INTER,)
+        classes = partition_edges(wg, cov("ab"))
+        assert [EDGE_CLASSES[c] for c in classes] == ["inter"]
 
     def test_one_community_makes_everything_intra(self):
         wg = WeightedDigraph.from_mapping({("a", "b"): 1.0, ("b", "c"): 1.0},
                                           "t")
         classes = partition_edges(wg, cov("abc", "abc"))
-        assert classes == (EdgeClass.INTRA, EdgeClass.INTRA)
+        assert [EDGE_CLASSES[c] for c in classes] == ["intra", "intra"]
 
     def test_three_way_example(self):
         wg = WeightedDigraph.from_mapping(
             {("a", "b"): 1.0, ("a", "c"): 1.0, ("a", "d"): 1.0}, "t")
         covering = cov("abcd", "ab", "ad", "cd")
-        classes = dict(zip(wg.graph.edges, partition_edges(wg, covering)))
+        classes = dict(zip(wg.graph.edges, (
+            EDGE_CLASSES[c] for c in partition_edges(wg, covering))))
         # a is in {ab},{ad}; b in {ab} only -> mixed
-        assert classes[("a", "b")] is EdgeClass.MIXED
+        assert classes[("a", "b")] == "mixed"
         # c is in {cd} only, sharing nothing with a -> inter
-        assert classes[("a", "c")] is EdgeClass.INTER
+        assert classes[("a", "c")] == "inter"
 
     def test_node_without_membership_is_an_error(self):
         wg = WeightedDigraph.from_mapping({("a", "b"): 1.0}, "t")
@@ -85,7 +114,7 @@ class TestPartition:
                 groups.add(frozenset(universe[i] for i in rng.choice(
                     len(universe), size=size, replace=False)))
             covering = cov(universe, *sorted(groups, key=sorted))
-            classes = [cls.value for cls in partition_edges(wg, covering)]
+            classes = [EDGE_CLASSES[c] for c in partition_edges(wg, covering)]
             assert classes == loop_partition_edges(wg, covering)
 
     def test_totality_and_exclusivity(self):
@@ -98,9 +127,9 @@ class TestPartition:
         covering = cov(nodes, nodes[:6], nodes[4:9])
         classes = partition_edges(wg, covering)
         assert len(classes) == len(wg.graph.edges)
-        counts = {cls: 0 for cls in EdgeClass}
-        for cls in classes:
-            counts[cls] += 1
+        counts = {cls: 0 for cls in EDGE_CLASSES}
+        for code in classes:
+            counts[EDGE_CLASSES[code]] += 1
         assert sum(counts.values()) == len(wg.graph.edges)
 
 
@@ -122,32 +151,32 @@ class TestConditionalWeights:
         weights = {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 3.0,
                    ("a", "d"): 1.0, ("d", "a"): 2.0}
         wg = WeightedDigraph.from_mapping(weights, "t")
-        by_edge = {("a", "b"): EdgeClass.INTRA, ("b", "c"): EdgeClass.INTRA,
-                   ("c", "a"): EdgeClass.INTRA, ("a", "d"): EdgeClass.INTER,
-                   ("d", "a"): EdgeClass.INTER}
-        return wg, tuple(by_edge[e] for e in wg.graph.edges)
+        by_edge = {("a", "b"): "intra", ("b", "c"): "intra",
+                   ("c", "a"): "intra", ("a", "d"): "inter",
+                   ("d", "a"): "inter"}
+        return wg, np.array([EDGE_CLASSES.index(by_edge[e])
+                             for e in wg.graph.edges], dtype=np.int8)
 
     def test_medians_and_counts(self):
         wg, classes = self.wg_and_classes()
-        report = conditional_weights(wg, classes)
-        intra = report.per_class[EdgeClass.INTRA]
-        inter = report.per_class[EdgeClass.INTER]
-        mixed = report.per_class[EdgeClass.MIXED]
-        assert (intra.count, intra.median) == (3, 2.0)
-        assert (inter.count, inter.median) == (2, 1.0)  # lower middle
-        assert (mixed.count, mixed.median) == (0, None)
-        total = sum(report.per_class[c].count for c in EdgeClass)
+        report = conditional_weights(wg, classes)["classes"]
+        intra, inter, mixed = (report[name]
+                               for name in ("intra", "inter", "mixed"))
+        assert (intra["count"], intra["median"]) == (3, 2.0)
+        assert (inter["count"], inter["median"]) == (2, 1.0)  # lower middle
+        assert (mixed["count"], mixed["median"]) == (0, None)
+        total = sum(report[c]["count"] for c in EDGE_CLASSES)
         assert total == len(wg.weights)
 
     def test_histograms_share_bin_edges(self):
         wg, classes = self.wg_and_classes()
-        report = conditional_weights(wg, classes, bins=10)
-        intra = report.per_class[EdgeClass.INTRA].histogram
-        inter = report.per_class[EdgeClass.INTER].histogram
+        report = conditional_weights(wg, classes, bins=10)["classes"]
+        intra = report["intra"].get("histogram")
+        inter = report["inter"].get("histogram")
         assert intra is not None and inter is not None
-        assert np.array_equal(intra[0], inter[0])
-        assert len(intra[0]) == 11
-        assert intra[1].sum() == 3
+        assert intra["bin_edges"] == inter["bin_edges"]
+        assert len(intra["bin_edges"]) == 11
+        assert sum(intra["counts"]) == 3
 
     def test_missing_class_is_an_error(self):
         wg, classes = self.wg_and_classes()
@@ -173,20 +202,41 @@ class TestConditionalWeights:
             spreads.append(max(abs(m - global_median) for m in meds))
         tolerance = 3 * max(spreads)
         assignment = rng.integers(0, 3, size=len(edges))
-        classes = [list(EdgeClass)[a] for a in assignment]
-        report = conditional_weights(wg, classes)
-        for cls in EdgeClass:
-            med = report.per_class[cls].median
+        report = conditional_weights(wg, assignment.astype(np.int8))
+        for cls in EDGE_CLASSES:
+            med = report["classes"][cls]["median"]
             assert med is not None
             assert abs(med - global_median) <= tolerance
 
     def test_summary_roundtrips_to_json(self):
-        import json
         wg, classes = self.wg_and_classes()
         report = conditional_weights(wg, classes)
-        payload = json.loads(json.dumps(report.to_summary()))
+        payload = json.loads(json.dumps(report))
         assert payload["classes"]["intra"]["count"] == 3
         assert payload["classes"]["mixed"]["median"] is None
+
+    def test_equals_the_list_based_oracle(self):
+        # signed zeros side by side, equal weights, an empty class, a class
+        # of one edge, and graphs with no edges at all
+        rng = np.random.default_rng(43)
+        pool = np.array([-0.0, 0.0, 0.5, 0.5, 1.0, 2.0])
+        for trial in range(200):
+            m = int(rng.integers(0, 40))
+            values = np.where(rng.random(m) < 0.7,
+                              rng.choice(pool, size=m), rng.random(m))
+            codes = rng.integers(0, 3, size=m).astype(np.int8)
+            if trial % 2 and m:
+                empty, single = rng.permutation(3)[:2]
+                codes[(codes == empty) | (codes == single)] = 3 - empty - single
+                codes[int(rng.integers(0, m))] = single
+            wg = WeightedDigraph.from_mapping(
+                {(f"n{i}", f"m{i}"): float(w) for i, w in enumerate(values)},
+                "t")
+            bins = int(rng.integers(1, 8))
+            names = [EDGE_CLASSES[c] for c in codes]
+            assert json.dumps(conditional_weights(wg, codes, bins),
+                              sort_keys=True) == json.dumps(
+                loop_conditional_weights(wg, names, bins), sort_keys=True)
 
 
 def test_detected_covering_concentrates_weight_inside():
@@ -205,12 +255,11 @@ def test_detected_covering_concentrates_weight_inside():
                                  retweet_share_weights(graph, log))
     covering = detect_communities(wg)
     classes = partition_edges(wg, covering)
-    grouped = {cls: [] for cls in EdgeClass}
-    for cls, w in zip(classes, wg.values.tolist()):
-        grouped[cls].append(w)
-    assert grouped[EdgeClass.INTRA] and grouped[EdgeClass.INTER]
-    assert median_low(grouped[EdgeClass.INTRA]) >= \
-        median_low(grouped[EdgeClass.INTER])
+    grouped = {cls: [] for cls in EDGE_CLASSES}
+    for code, w in zip(classes, wg.values.tolist()):
+        grouped[EDGE_CLASSES[code]].append(w)
+    assert grouped["intra"] and grouped["inter"]
+    assert median_low(grouped["intra"]) >= median_low(grouped["inter"])
 
 
 class TestWeightCcdf:
