@@ -30,12 +30,13 @@ busiest = int(np.argmax(outgoing + incoming))  # the first, on a tie
 print(f"busiest user {graph.nodes[busiest]}: outgoing/incoming = "
       f"{(int(outgoing[busiest]), int(incoming[busiest]))}")
 
-# users need a minimum of both kinds to stay; then keep the giant SCC
-active, active_report = filter_active(graph, counts, threshold=9)
+# users need a minimum of both kinds to stay; then keep the giant SCC.
+# Each step returns the induced subgraph, so its node tuple tells what left
+active = filter_active(graph, counts, threshold=9)
 print(f"activity filter (>=9 of each): kept {len(active.nodes)}, "
-      f"removed {len(active_report.removed_inactive)}")
+      f"removed {len(graph.nodes) - len(active.nodes)}")
 
-final, scc_report = giant_scc(active)
+final = giant_scc(active)
 print(f"giant strongly connected component: {len(final.nodes)} users, "
       f"{len(final.edges)} edges "
-      f"({len(scc_report.removed_not_in_gscc)} peripheral users dropped)")
+      f"({len(active.nodes) - len(final.nodes)} peripheral users dropped)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import platform
 import sys
@@ -28,9 +27,9 @@ from .communities import (Covering, FitnessParams, covering_stats,
 from .compare import nmi_matrix
 from .edgestats import conditional_weights, partition_edges, size_ccdf
 from .infotheory import MAX_LAG
-from .ingest import (check_ids, combine_reports, count_information_events,
-                     filter_active, giant_scc, read_events, read_follow_edges,
-                     write_csv, write_follow_edges, write_json)
+from .ingest import (check_ids, count_information_events, filter_active,
+                     giant_scc, read_events, read_follow_edges, write_csv,
+                     write_follow_edges, write_json)
 from .synth import (SynthConfig, generate, write_events_jsonl,
                     write_influence_edges)
 from .weighting import (WeightedDigraph, hashtag_similarity_weights,
@@ -147,20 +146,29 @@ def cmd_synth(args) -> int:
 
 
 def _run_ingest(events_path: Path, follows_path: Path, threshold: int):
-    """The event log, the filtered graph and its report; writes nothing."""
+    """The event log, the filtered graph and its ``filter_report.json``
+    dict; writes nothing. Node tuples are sorted, so each list is too."""
     log = read_events(events_path)
     graph = read_follow_edges(follows_path)
-    counts = count_information_events(log, graph)
-    active_graph, active_report = filter_active(graph, counts, threshold)
-    if not active_graph.nodes:
+    active = filter_active(graph, count_information_events(log, graph),
+                           threshold)
+    if not active.nodes:
         raise ValueError("no users survive the activity filter")
-    final_graph, scc_report = giant_scc(active_graph)
-    return log, final_graph, combine_reports(active_report, scc_report)
+    final = giant_scc(active)
+    kept, active_set = set(final.nodes), set(active.nodes)
+    report = {
+        "kept": list(final.nodes),
+        "removed_inactive": [v for v in graph.nodes if v not in active_set],
+        "removed_not_in_gscc": [v for v in active.nodes if v not in kept],
+        "thresholds": {"outgoing": threshold, "incoming": threshold,
+                       "rule": "outgoing >= t AND incoming >= t (per-type)"},
+    }
+    return log, final, report
 
 
-def _write_ingest(graph, report, out: Path) -> None:
+def _write_ingest(graph, report: dict, out: Path) -> None:
     write_follow_edges(graph, out / "graph.csv")
-    write_json(out / "filter_report.json", report.to_dict())
+    write_json(out / "filter_report.json", report)
 
 
 def cmd_ingest(args) -> int:
@@ -169,28 +177,28 @@ def cmd_ingest(args) -> int:
     follows = Path(args.follows) if args.follows else indir / "follows.csv"
     log, graph, report = _run_ingest(events, follows, args.threshold)
     _write_ingest(graph, report, Path(args.output))
-    print(f"ingest: kept {len(report.kept)} of "
-          f"{len(report.kept) + len(report.removed_inactive) + len(report.removed_not_in_gscc)} "
-          f"users ({log.skipped} malformed lines skipped)")
+    kept = len(report["kept"])
+    removed = len(report["removed_inactive"]) + len(report["removed_not_in_gscc"])
+    print(f"ingest: kept {kept} of {kept + removed} users "
+          f"({log.skipped} malformed lines skipped)")
     return 0
 
 
-def _run_weights(log, graph, args, schemes, lags, out: Path,
-                 series_csv: Path | None = None) -> dict[str, WeightedDigraph]:
-    """Build the tables of ``schemes`` (TE once per lag in ``lags``), then
-    write each as ``out/weights_<name>.csv``, in name order, with a JSON
-    sidecar, so a failed build writes nothing.
+def _run_weights(log, graph, args, schemes, lags, series: bool = False):
+    """The tables of ``schemes`` (TE once per lag in ``lags``), each with
+    its sidecar dict, in name order, and the activity matrix if ``series``
+    asks for it, else None, so ``pipeline`` does not hold it through
+    detection; writes nothing.
 
     Every sidecar records the bin width and whether retweets count as
-    activity; TE sidecars add the lag and the hashtag one the tf-idf log
-    base. ``series_csv``, if given, receives the activity series.
+    activity; TE sidecars add the lag, the hashtag one the tf-idf base.
     """
     retweets = not args.no_retweet_activity
     meta = {"bin_width": args.bin_width, "retweets_count_as_activity": retweets}
     built: list[tuple[WeightedDigraph, dict]] = []
     if "structural" in schemes:
         built.append((structural_weights(graph), meta))
-    if "te" in schemes or series_csv is not None:
+    if "te" in schemes or series:
         activity = batch_coarsen(log, graph, bin_width=args.bin_width,
                                  retweets_count_as_activity=retweets)
     if "te" in schemes:
@@ -209,13 +217,8 @@ def _run_weights(log, graph, args, schemes, lags, out: Path,
         vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
         built.append((hashtag_similarity_weights(graph, vectors),
                       dict(meta, tfidf_log_base=args.tfidf_log_base)))
-    if series_csv is not None:
-        write_series_csv(activity, series_csv)
-    tables = {}
-    for wg, sidecar in sorted(built, key=lambda pair: pair[0].scheme):
-        write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
-        tables[wg.scheme] = wg
-    return tables
+    built.sort(key=lambda pair: pair[0].scheme)
+    return built, activity if series else None
 
 
 def cmd_weight(args) -> int:
@@ -224,11 +227,13 @@ def cmd_weight(args) -> int:
     out = Path(args.output)
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     lags = [args.lag] if args.lag else range(1, args.max_lag + 1)
-    tables = _run_weights(log, graph, args, schemes, lags, out,
-                          out / "activity_series.csv" if args.dump_series
-                          else None)
-    for name, wg in tables.items():
-        print(f"weight: wrote weights_{name}.csv "
+    built, activity = _run_weights(log, graph, args, schemes, lags,
+                                   args.dump_series)
+    if args.dump_series:
+        write_series_csv(activity, out / "activity_series.csv")
+    for wg, sidecar in built:
+        write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
+        print(f"weight: wrote weights_{wg.scheme}.csv "
               f"({int((wg.values > 0).sum())} positive "
               f"of {len(wg.values)} edges)")
     return 0
@@ -279,14 +284,6 @@ def _write_nmi_csv(labels, matrix, path: Path) -> None:
               ([label, *map(_fmt, row)] for label, row in zip(labels, matrix)))
 
 
-def _run_edges(wg: WeightedDigraph, classes: numpy.ndarray, label: str,
-               bins: int, out: Path) -> None:
-    """Write the report of the weights of ``wg`` conditional on its edge
-    ``classes`` under the covering ``label`` to ``out``."""
-    summary = conditional_weights(wg, classes, bins=bins)
-    _write_edge_report(summary, out, {"covering": label, "weights": wg.scheme})
-
-
 def _write_edge_report(summary: dict, out: Path, context: dict) -> None:
     write_csv(out / "summary.csv", ["class", "count", "median"],
               ((name, c["count"], "" if c["median"] is None else _fmt(c["median"]))
@@ -301,8 +298,9 @@ def cmd_edges(args) -> int:
     wg = read_weight_table(Path(args.weights))
     path = Path(args.covering)
     classes = partition_edges(wg, read_covering(path, wg.graph.nodes))
-    _run_edges(wg, classes, _covering_label(path), args.hist_bins,
-               Path(args.output))
+    summary = conditional_weights(wg, classes, bins=args.hist_bins)
+    _write_edge_report(summary, Path(args.output),
+                       {"covering": _covering_label(path), "weights": wg.scheme})
     print(f"edges: {len(classes)} edges partitioned -> {args.output}")
     return 0
 
@@ -338,17 +336,20 @@ def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
     events_path, follows_path = indir / "events.jsonl", indir / "follows.csv"
     log, graph, report = _run_ingest(events_path, follows_path, args.threshold)
-    # a weight stage that fails (say, on the activity bound) writes nothing
-    tables = _run_weights(log, graph, args, SCHEMES,
-                          range(1, args.max_lag + 1), out / "weights")
-    _write_ingest(graph, report, out / "ingest")
-
-    coverings: dict[str, Covering] = {}
+    built, _ = _run_weights(log, graph, args, SCHEMES,
+                            range(1, args.max_lag + 1))
+    tables = {wg.scheme: wg for wg, _ in built}
     params = FitnessParams(alpha=args.alpha)
-    for name, wg in tables.items():
-        coverings[name] = detect_communities(wg, params)
-        write_covering(coverings[name],
-                       out / "coverings" / f"covering_{name}.txt")
+    coverings = {name: detect_communities(wg, params)
+                 for name, wg in tables.items()}
+    # the first file is written here, once every stage that can reject the
+    # input (the activity bound, alpha's float range) has passed
+    for wg, sidecar in built:
+        write_weight_table(wg, out / "weights" / f"weights_{wg.scheme}.csv",
+                           sidecar)
+    _write_ingest(graph, report, out / "ingest")
+    for name, covering in coverings.items():
+        write_covering(covering, out / "coverings" / f"covering_{name}.txt")
 
     labels, matrix = nmi_matrix(coverings)
     _write_nmi_csv(labels, matrix, out / "compare" / "nmi_matrix.csv")
@@ -359,8 +360,10 @@ def cmd_pipeline(args) -> int:
     for cov_name in ("structural", featured, "hashtag", "mention_retweet"):
         classes = partition_edges(tables[featured], coverings[cov_name])
         for wt_name in (featured, "hashtag", "mention_retweet"):
-            _run_edges(tables[wt_name], classes, cov_name, args.hist_bins,
-                       out / "edges" / f"{cov_name}__{wt_name}")
+            summary = conditional_weights(tables[wt_name], classes,
+                                          bins=args.hist_bins)
+            _write_edge_report(summary, out / "edges" / f"{cov_name}__{wt_name}",
+                               {"covering": cov_name, "weights": wt_name})
 
     _write_report(coverings, tables.values(), out / "report")
 
@@ -507,8 +510,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, csv.Error,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, csv.Error) as exc:
         sys.stderr.write(f"qocd: data error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive

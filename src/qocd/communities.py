@@ -12,6 +12,7 @@ plain text files instead.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -156,13 +157,16 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
     links: dict[int, float] = {}
     frontier: set[int] = set()  # the non-members with a member neighbour
 
+    def out_of_range(total: float) -> ValueError:
+        return ValueError(f"alpha {alpha} takes the fitness out of the float "
+                          f"range at a total weight of {total:g}")
+
     def fitness(w_in: float, w_bnd: float) -> float:
         total = w_in + w_bnd
         try:  # the power may overflow, or underflow to 0.0
             return 0.0 if total <= 0 else w_in / total ** alpha
         except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"alpha {alpha} takes the fitness out of the float "
-                             f"range at a total weight of {total:g}") from None
+            raise out_of_range(total) from None
 
     def move(v: int) -> None:  # v joins, or leaves if it is a member
         nonlocal w_in, w_bnd
@@ -177,6 +181,10 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
             (frontier.add if links.get(u) and u not in members
              else frontier.discard)(u)
 
+    # in exact arithmetic every total below is at least the seed's strength;
+    # if its power is subnormal, too few bits are left to rank candidates
+    if min(strength[seed], 1.0) ** alpha < sys.float_info.min:
+        raise out_of_range(strength[seed])
     w_in = w_bnd = 0.0
     move(seed)
     while True:  # a failed join ends it: the last shedding left nothing to shed

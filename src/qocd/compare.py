@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .communities import Covering, membership_rows
+from .infotheory import entropy_terms
 
 
 def _overlaps(x: Covering, y: Covering,
@@ -35,10 +36,9 @@ def _overlaps(x: Covering, y: Covering,
 
 def _h(count: np.ndarray, n: int) -> np.ndarray:
     """-p log2 p for p = count/n, elementwise, with h(0) = 0."""
-    p = np.asarray(count, dtype=np.float64) / n
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = -p[nz] * np.log2(p[nz])
+    out = np.zeros(count.shape)
+    nz = count > 0
+    out[nz] = entropy_terms(count[nz], n)
     return out
 
 

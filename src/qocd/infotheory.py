@@ -89,10 +89,17 @@ def _window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     return codes
 
 
+def entropy_terms(counts: np.ndarray, n: int) -> np.ndarray:
+    """-p log2 p for p = counts / n, elementwise, counts > 0: the one
+    entropy term, shared by the TE estimates and the covering NMI."""
+    p = counts / n
+    return -p * np.log2(p)
+
+
 def _entropy(counts: np.ndarray, n: int) -> tuple[float, int]:
     """Plug-in entropy (bits) and observed-alphabet size of symbol counts."""
-    probs = counts[counts > 0] / n
-    return float(-(probs * np.log2(probs)).sum()), len(probs)
+    seen = counts[counts > 0]
+    return float(entropy_terms(seen, n).sum()), len(seen)
 
 
 def _entropies(codes: np.ndarray, n: int):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
@@ -184,24 +184,6 @@ class StructuralGraph:
                                renumber[self.dst[inside]])
 
 
-@dataclass(frozen=True)
-class FilterReport:
-    """Audit trail of a filtering step.
-
-    The three node sets are disjoint and their union is the input node set.
-    """
-
-    kept: frozenset[str]
-    removed_inactive: frozenset[str] = frozenset()
-    removed_not_in_gscc: frozenset[str] = frozenset()
-    thresholds: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        payload = {name: sorted(getattr(self, name)) for name in
-                   ("kept", "removed_inactive", "removed_not_in_gscc")}
-        return dict(payload, thresholds=self.thresholds)
-
-
 def _parse_record(line: str):
     """``(kind code, actor, ts, target or None, hashtags)`` of a valid JSON
     event line, else None."""
@@ -357,24 +339,19 @@ def count_information_events(log: EventLog, graph: StructuralGraph,
 
 def filter_active(graph: StructuralGraph,
                   counts: tuple[np.ndarray, np.ndarray],
-                  threshold: int = 9) -> tuple[StructuralGraph, FilterReport]:
+                  threshold: int = 9) -> StructuralGraph:
     """Keep users with at least ``threshold`` outgoing AND incoming events,
     as :func:`count_information_events` counts them on ``graph``.
 
     The threshold applies per event type, so a user must clear it on both
-    counts to survive. Returns the induced subgraph and a report.
+    counts to survive. Returns the induced subgraph.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    active = graph.subgraph(np.minimum(*counts) >= threshold)
-    kept = frozenset(active.nodes)
-    return active, FilterReport(
-        kept=kept, removed_inactive=frozenset(graph.nodes) - kept,
-        thresholds={"outgoing": threshold, "incoming": threshold,
-                    "rule": "outgoing >= t AND incoming >= t (per-type)"})
+    return graph.subgraph(np.minimum(*counts) >= threshold)
 
 
-def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
+def giant_scc(graph: StructuralGraph) -> StructuralGraph:
     """Restrict to the largest strongly connected component.
 
     Size ties are broken toward the component containing the smallest node
@@ -389,13 +366,4 @@ def giant_scc(graph: StructuralGraph) -> tuple[StructuralGraph, FilterReport]:
     g.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
     giant = min(nx.strongly_connected_components(g),
                 key=lambda c: (-len(c), min(c)))
-    final = graph.subgraph(np.isin(np.arange(len(graph.nodes)), list(giant)))
-    kept = frozenset(final.nodes)
-    return final, FilterReport(
-        kept=kept, removed_not_in_gscc=frozenset(graph.nodes) - kept)
-
-
-def combine_reports(active: FilterReport, scc: FilterReport) -> FilterReport:
-    """Merge the activity-filter and SCC-restriction reports into one."""
-    return replace(active, kept=scc.kept,
-                   removed_not_in_gscc=scc.removed_not_in_gscc)
+    return graph.subgraph(np.isin(np.arange(len(graph.nodes)), list(giant)))

@@ -9,8 +9,9 @@ import pytest
 
 import qocd
 import qocd.cli
+from qocd.activity import batch_coarsen, write_series_csv
 from qocd.cli import main, read_weight_table
-from qocd.ingest import read_follow_edges
+from qocd.ingest import read_events, read_follow_edges
 
 SYNTH_ARGS = ["--nodes", "24", "--communities", "3", "--bins", "150",
               "--p-in", "0.5", "--p-out", "0.05", "--rho", "0.1",
@@ -84,6 +85,27 @@ def test_weight_all_schemes(dataset, ingested, tmp_path):
                      "weights_retweet.csv", "weights_mention_retweet.csv",
                      "weights_hashtag.csv", "weights_te_lag1.csv",
                      "weights_te_lag2.csv"}
+
+
+def test_weight_dump_series_equals_the_activity_matrix(dataset, ingested,
+                                                       tmp_path):
+    # the structural scheme needs no activity matrix, so --dump-series alone
+    # makes the weight stage build one
+    out = tmp_path / "w"
+    assert main(["weight", "--events", str(dataset / "events.jsonl"),
+                 "--graph", str(ingested / "graph.csv"), "--scheme",
+                 "structural", "--dump-series", "--bin-width", "300",
+                 "-o", str(out)]) == 0
+    activity = batch_coarsen(read_events(dataset / "events.jsonl"),
+                             read_follow_edges(ingested / "graph.csv"),
+                             bin_width=300)
+    write_series_csv(activity, tmp_path / "expected" / "activity_series.csv")
+    for name in ("activity_series.csv", "activity_series.json"):
+        assert ((out / name).read_bytes()
+                == (tmp_path / "expected" / name).read_bytes())
+    assert sorted(p.name for p in out.iterdir()) == [
+        "activity_series.csv", "activity_series.json",
+        "weights_structural.csv", "weights_structural.json"]
 
 
 def test_weight_tables_equal_pipeline_weights(dataset, ingested, tmp_path):
@@ -544,6 +566,35 @@ def test_alpha_that_underflows_the_fitness_exits_two(tmp_path, capsys):
     assert main(["detect", "--weights", str(table), "--alpha", "2",
                  "-o", str(out)]) == 2
     assert "alpha 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, alpha", [
+    # (1.4e-10) ** 32 is subnormal: the run once wrote "a b" and "c d",
+    # where exact arithmetic grows "a c" and "b d"
+    (["a,c,3e-11", "b,a,8e-11", "c,a,5e-11", "c,d,6e-11", "d,b,6e-11"], "32"),
+    # 1e-320 is subnormal at alpha 1 already
+    (["a,b,1e-320", "b,c,1e-320", "c,a,1e-320"], "1"),
+])
+def test_alpha_whose_power_is_subnormal_exits_two(tmp_path, capsys, rows,
+                                                   alpha):
+    table = tmp_path / "weights_x.csv"
+    table.write_text("source,target,weight\n" + "".join(r + "\n" for r in rows))
+    out = tmp_path / "c.txt"
+    assert main(["detect", "--weights", str(table), "--alpha", alpha,
+                 "-o", str(out)]) == 2
+    assert f"alpha {float(alpha)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_alpha_out_of_the_float_range_writes_nothing(dataset,
+                                                              tmp_path, capsys):
+    # detection is the last stage that can reject the run; the weight
+    # tables and ingest/ were once written before it
+    out = tmp_path / "out"
+    assert main(["pipeline", "-i", str(dataset), "-o", str(out),
+                 "--threshold", "2", "--alpha", "400"]) == 2
+    assert "alpha 400" in capsys.readouterr().err
     assert not out.exists()
 
 

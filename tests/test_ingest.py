@@ -1,11 +1,13 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from qocd.ingest import (StructuralGraph, combine_reports,
-                         count_information_events, filter_active, giant_scc,
-                         parse_events, read_follow_edges, write_follow_edges)
+from qocd.cli import main
+from qocd.ingest import (StructuralGraph, count_information_events,
+                         filter_active, giant_scc, parse_events,
+                         read_follow_edges, write_follow_edges)
 
 from oracles import brute_force_sccs
 
@@ -161,22 +163,22 @@ class TestFilterActive:
     def test_boundary_kept_and_removed(self):
         graph = graph_of(("a", "b"), ("b", "a"))
         counts = counts_for(graph, {"a": (9, 9), "b": (9, 8)})
-        kept, report = filter_active(graph, counts, threshold=9)
+        kept = filter_active(graph, counts, threshold=9)
         assert kept.nodes == ("a",)
-        assert report.removed_inactive == frozenset({"b"})
-        assert report.kept | report.removed_inactive == frozenset(graph.nodes)
+        assert frozenset(graph.nodes) - frozenset(kept.nodes) == frozenset({"b"})
+        assert frozenset(kept.nodes) <= frozenset(graph.nodes)
 
     def test_threshold_zero_keeps_everything(self):
         graph = graph_of(("a", "b"), ("c", "d"))
-        kept, report = filter_active(graph, counts_for(graph, {}), threshold=0)
+        kept = filter_active(graph, counts_for(graph, {}), threshold=0)
         assert (kept.nodes, kept.edges) == (graph.nodes, graph.edges)
-        assert report.removed_inactive == frozenset()
+        assert frozenset(graph.nodes) - frozenset(kept.nodes) == frozenset()
 
     def test_idempotent_at_fixed_counts(self):
         graph = graph_of(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"))
         mapping = {"a": (10, 10), "b": (12, 12), "c": (1, 50)}
-        once, _ = filter_active(graph, counts_for(graph, mapping), 9)
-        twice, _ = filter_active(once, counts_for(once, mapping), 9)
+        once = filter_active(graph, counts_for(graph, mapping), 9)
+        twice = filter_active(once, counts_for(once, mapping), 9)
         assert (once.nodes, once.edges) == (twice.nodes, twice.edges)
 
     def test_negative_threshold_rejected(self):
@@ -188,13 +190,14 @@ class TestFilterActive:
 class TestGiantScc:
     def test_cycle_plus_stray_edge(self):
         graph = graph_of(("a", "b"), ("b", "a"), ("c", "d"))
-        kept, report = giant_scc(graph)
+        kept = giant_scc(graph)
         assert kept.nodes == ("a", "b")
-        assert report.removed_not_in_gscc == frozenset({"c", "d"})
+        assert frozenset(graph.nodes) - frozenset(kept.nodes) == frozenset(
+            {"c", "d"})
 
     def test_fully_cyclic_graph_unchanged(self):
         graph = graph_of(("a", "b"), ("b", "c"), ("c", "a"))
-        kept, _ = giant_scc(graph)
+        kept = giant_scc(graph)
         assert (kept.nodes, kept.edges) == (graph.nodes, graph.edges)
 
     def test_tie_breaks_to_smallest_member(self):
@@ -203,7 +206,7 @@ class TestGiantScc:
         # oracle: enumerate the components by mutual reachability
         comps = brute_force_sccs(graph.nodes, edges)
         assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
-        kept, _ = giant_scc(graph)
+        kept = giant_scc(graph)
         assert kept.nodes == ("a", "b")
 
     def test_output_is_strongly_connected(self):
@@ -213,7 +216,7 @@ class TestGiantScc:
         edges = [(nodes[i], nodes[j])
                  for i in range(12) for j in range(12)
                  if i != j and rng.random() < 0.2]
-        kept, _ = giant_scc(graph_of(*edges, extra_nodes=nodes))
+        kept = giant_scc(graph_of(*edges, extra_nodes=nodes))
         comps = brute_force_sccs(kept.nodes, kept.edges)
         assert len(comps) == 1 and comps[0] == frozenset(kept.nodes)
 
@@ -223,17 +226,21 @@ class TestGiantScc:
             giant_scc(empty)
 
 
-def test_combined_report_partitions_input_nodes():
+def test_combined_report_partitions_input_nodes(tmp_path):
+    # the ingest command's filter_report.json over this follow graph
     graph = graph_of(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("d", "e"))
-    counts = counts_for(graph, {"a": (9, 9), "b": (9, 9), "c": (9, 9),
-                                "d": (0, 0)})
-    active, rep1 = filter_active(graph, counts, 9)
-    final, rep2 = giant_scc(active)
-    merged = combine_reports(rep1, rep2)
-    parts = [merged.kept, merged.removed_inactive, merged.removed_not_in_gscc]
+    write_follow_edges(graph, tmp_path / "follows.csv")
+    # a, b and c each make and receive 9 mentions; d and e none
+    (tmp_path / "events.jsonl").write_text("".join(
+        json.dumps({"kind": "mention", "actor": a, "ts": ts, "target": b})
+        + "\n" for a, b in (("a", "b"), ("b", "c"), ("c", "a"))
+        for ts in range(9)))
+    assert main(["ingest", "-i", str(tmp_path), "-o", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "filter_report.json").read_text())
+    parts = [frozenset(payload[name]) for name in
+             ("kept", "removed_inactive", "removed_not_in_gscc")]
     assert frozenset().union(*parts) == frozenset(graph.nodes)
     assert sum(len(p) for p in parts) == len(graph.nodes)
-    payload = merged.to_dict()
     assert set(payload) == {"kept", "removed_inactive", "removed_not_in_gscc",
                             "thresholds"}
 
@@ -245,8 +252,8 @@ def test_kept_users_meet_thresholds_measured_prefilter():
         nodes=40, communities=4, bins=60, p_in=0.5, p_out=0.05, rho=0.1,
         epsilon=0.2, mention_events=10, retweet_events=10, seed=14))
     counts = count_information_events(log, graph)
-    active, _ = filter_active(graph, counts, 9)
-    final, _ = giant_scc(active)
+    active = filter_active(graph, counts, 9)
+    final = giant_scc(active)
     measured = dict(zip(graph.nodes, zip(*(c.tolist() for c in counts))))
     for user in final.nodes:
         out_n, in_n = measured[user]
