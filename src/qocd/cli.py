@@ -394,7 +394,8 @@ def cmd_pipeline(args) -> int:
     }
     write_json(out / "manifest.json", manifest)
     print(f"pipeline: {len(graph.nodes)} nodes, {len(tables)} weightings, "
-          f"{len(coverings)} coverings -> {out}")
+          f"{len(coverings)} coverings -> {out} "
+          f"({log.skipped} malformed lines skipped)")
     return 0
 
 

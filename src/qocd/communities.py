@@ -155,6 +155,7 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
     are positive, so v has a member neighbour iff ``links[v]`` is above 0."""
     members: set[int] = set()
     links: dict[int, float] = {}
+    tiny = sys.float_info.min
     frontier: set[int] = set()  # the non-members with a member neighbour
 
     def out_of_range(total: float) -> ValueError:
@@ -163,10 +164,15 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
 
     def fitness(w_in: float, w_bnd: float) -> float:
         total = w_in + w_bnd
-        try:  # the power may overflow, or underflow to 0.0
-            return 0.0 if total <= 0 else w_in / total ** alpha
-        except (OverflowError, ZeroDivisionError):
+        if total <= 0:
+            return 0.0
+        try:
+            power = total ** alpha
+        except OverflowError:
             raise out_of_range(total) from None
+        if power < tiny:  # subnormal or 0.0: too few bits to rank candidates
+            raise out_of_range(total)
+        return w_in / power
 
     def move(v: int) -> None:  # v joins, or leaves if it is a member
         nonlocal w_in, w_bnd
@@ -181,10 +187,6 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
             (frontier.add if links.get(u) and u not in members
              else frontier.discard)(u)
 
-    # in exact arithmetic every total below is at least the seed's strength;
-    # if its power is subnormal, too few bits are left to rank candidates
-    if min(strength[seed], 1.0) ** alpha < sys.float_info.min:
-        raise out_of_range(strength[seed])
     w_in = w_bnd = 0.0
     move(seed)
     while True:  # a failed join ends it: the last shedding left nothing to shed

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -28,9 +29,13 @@ _COLUMNS = {"kind": np.uint8, "actor": np.int32, "target": np.int32,
 
 
 def _exact_cast(column, dtype) -> np.ndarray:
-    """A new ``dtype`` array of ``column``; ValueError if the cast would change
-    a value (one out of range, or a fraction), where numpy would wrap it."""
+    """``column`` as a ``dtype`` array: a read-only array of that dtype as
+    it is, anything else as a new array, so that a caller's writable array
+    is never shared; ValueError if the cast would change a value (one out
+    of range, or a fraction), where numpy would wrap it."""
     given = np.asarray(column)
+    if given.dtype == dtype:  # no value can change
+        return given.copy() if given.flags.writeable else given
     try:
         with np.errstate(invalid="ignore"):
             cast = given.astype(dtype)
@@ -184,6 +189,19 @@ class StructuralGraph:
                                renumber[self.dst[inside]])
 
 
+def _tags(raw):
+    """The normalized tags of a post's ``hashtags`` value (None: no tags),
+    or None unless it is a list of strings, each one non-empty and free of
+    whitespace once lowercased and stripped of leading ``#``."""
+    raw = [] if raw is None else raw
+    if not isinstance(raw, list):
+        return None
+    tags = [tag.lower().lstrip("#") for tag in raw if isinstance(tag, str)]
+    # split() returns a tag whole iff it is non-empty and has no whitespace
+    ok = len(tags) == len(raw) and all([tag.split() == [tag] for tag in tags])
+    return tags if ok else None
+
+
 def _parse_record(line: str):
     """``(kind code, actor, ts, target or None, hashtags)`` of a valid JSON
     event line, else None."""
@@ -194,7 +212,7 @@ def _parse_record(line: str):
     if not isinstance(rec, dict):
         return None
     kind, actor, ts = rec.get("kind"), rec.get("actor"), rec.get("ts")
-    target, raw = rec.get("target"), rec.get("hashtags")
+    target = rec.get("target")
     # type(), not isinstance(): a bool is an int too; ts must fit in int64
     if (kind not in EVENT_KINDS or not isinstance(actor, str) or not actor
             or type(ts) is not int or not 0 <= ts < 2 ** 63):
@@ -202,13 +220,10 @@ def _parse_record(line: str):
     if kind != "post":  # mentions and retweets need a target, carry no tags
         ok = isinstance(target, str) and target
         return (EVENT_KINDS.index(kind), actor, ts, target, ()) if ok else None
-    raw = [] if raw is None else raw
-    if target is not None or not isinstance(raw, list):
+    tags = _tags(rec.get("hashtags"))
+    if target is not None or tags is None:
         return None
-    tags = [tag.lower().lstrip("#") for tag in raw if isinstance(tag, str)]
-    # split() returns a tag whole iff it is non-empty and has no whitespace
-    ok = len(tags) == len(raw) and all([tag.split() == [tag] for tag in tags])
-    return (POST, actor, ts, None, tags) if ok else None
+    return (POST, actor, ts, None, tags)
 
 
 def _interned(codes: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -220,36 +235,164 @@ def _interned(codes: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), rank
 
 
+# One event line as synth.write_events_jsonl writes it: keys in sorted
+# order, ", " and ": " separators, strings with no escape or control
+# character, and a ts with no sign, fraction or leading zero. Only the
+# end of the pattern matches a line end, so each match is one whole line.
+# split() yields the text before each match, then its actor, hashtags,
+# kind, target and ts.
+_CHAR = r'[^"\\\x00-\x1f]'  # a string character that needs no escape
+_CANONICAL = re.compile(
+    rf'\{{"actor": "({_CHAR}+)"'
+    rf'(?:, "hashtags": \[((?:"{_CHAR}*"(?:, "{_CHAR}*")*)?)\])?'
+    rf', "kind": "(post|mention|retweet)"(?:, "target": "({_CHAR}+)")?'
+    r', "ts": (0|[1-9][0-9]{0,18})\}(?:\n|\Z)')
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+# characters read at once, then up to the next line end; a block's split
+# strings take several times its size, so it stays small
+_BLOCK = 1 << 18
+_CHUNK = 1 << 16  # codes ranked at once
+_INT64_MAX = 2 ** 63 - 1
+
+
+class _Columns:
+    """The growing buffers of :func:`parse_events`; ids and tags are coded
+    in order of first sight and ranked once at the end."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.tags: dict[str, int] = {}
+        # hashtags text of a canonical post line (None: no tags) -> tag codes
+        self.coded: dict[str | None, list[int]] = {None: []}
+        self.kind, self.ts = array("B"), array("q")
+        self.actor, self.target = array("i"), array("i")
+        self.tag_ptr, self.tag_ids = array("q", [0]), array("i")
+        self.skipped = 0
+
+    def add_lines(self, lines: Iterable[str]) -> None:
+        """Append each line's event through :func:`_parse_record`; count
+        the bad lines, pass over the blank ones."""
+        ids, tags = self.ids, self.tags
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            fields = _parse_record(line)
+            if fields is None:
+                self.skipped += 1
+                continue
+            code, who, when, whom, hashtags = fields
+            self.kind.append(code)
+            self.actor.append(ids.setdefault(who, len(ids)))
+            self.target.append(-1 if whom is None
+                               else ids.setdefault(whom, len(ids)))
+            self.ts.append(when)
+            if hashtags:
+                self.tag_ids.extend([tags.setdefault(tag, len(tags))
+                                     for tag in hashtags])
+            self.tag_ptr.append(len(self.tag_ids))
+
+    def add_block(self, block: str) -> bool:
+        """Append the events of a block of whole lines and return True if
+        every line matches ``_CANONICAL`` and :func:`_parse_record` would
+        accept each one; else append nothing and return False.
+
+        A mention's or retweet's hashtags are ignored, as there. Each
+        distinct hashtags text is decoded once per parse, and a block
+        codes no id, tag or text until every check has passed."""
+        parts = _CANONICAL.split(block)
+        if any(parts[::6]):
+            return False
+        actors, hashtags, kinds, targets, stamps = (parts[i::6]
+                                                    for i in range(1, 6))
+        kind = array("B", map(_KIND_CODES.__getitem__, kinds))
+        ts = np.fromstring(" ".join(stamps), dtype=np.int64, sep=" ")
+        # strtoll clamps a ts of 2**63 or more to the int64 maximum, so a
+        # block holding that maximum goes to json.loads, which tells them apart
+        if len(ts) and ts.max() == _INT64_MAX:
+            return False
+        is_post = np.asarray(kind) == POST
+        post = is_post.tolist()
+        post_tags = list(compress(hashtags, post))
+        # a post has no target; a mention or a retweet has one
+        if any(compress(targets, post)) or \
+                targets.count(None) != len(post_tags):
+            return False
+        coded = self.coded
+        new = {text: _tags(json.loads("[" + text + "]"))
+               for text in dict.fromkeys(post_tags) if text not in coded}
+        if None in new.values():
+            return False
+
+        ids, tags = self.ids, self.tags
+        actor = array("i", map(ids.get, actors, repeat(-1)))
+        target = array("i", map(ids.get, targets, repeat(-1)))
+        if -1 in actor or target.count(-1) != len(post_tags):  # a new id
+            for name in dict.fromkeys(chain(actors, targets)):
+                if name is not None:
+                    ids.setdefault(name, len(ids))
+            actor = array("i", map(ids.__getitem__, actors))
+            target = array("i", map(ids.get, targets, repeat(-1)))
+        for text, names in new.items():
+            coded[text] = [tags.setdefault(tag, len(tags)) for tag in names]
+        per_post = list(map(coded.__getitem__, post_tags))
+        per_event = np.zeros(len(kind), dtype=np.int64)
+        per_event[is_post] = np.fromiter(map(len, per_post), dtype=np.int64,
+                                         count=len(per_post))
+        self.kind += kind
+        self.actor += actor
+        self.target += target
+        self.ts.frombytes(ts.tobytes())
+        self.tag_ptr.frombytes((np.cumsum(per_event)
+                                + self.tag_ptr[-1]).tobytes())
+        self.tag_ids += array("i", chain.from_iterable(per_post))
+        return True
+
+    def log(self) -> EventLog:
+        """The event log of the buffers, handed over without a copy: the
+        code columns are ranked in place."""
+        id_names, id_rank = _interned(self.ids)
+        tag_names, tag_rank = _interned(self.tags)
+        return EventLog(id_names, _frozen(self.kind),
+                        _frozen(self.actor, id_rank),
+                        _frozen(self.target, id_rank), _frozen(self.ts),
+                        tag_names, _frozen(self.tag_ptr),
+                        _frozen(self.tag_ids, tag_rank), self.skipped)
+
+
+def _frozen(buffer: array, rank: np.ndarray | None = None) -> np.ndarray:
+    """A read-only array on the memory of ``buffer``, each code first
+    replaced by ``rank[code]`` in place if ``rank`` is given."""
+    a = np.asarray(buffer)
+    if rank is not None:
+        for lo in range(0, len(a), _CHUNK):
+            a[lo:lo + _CHUNK] = rank[a[lo:lo + _CHUNK]]
+    a.flags.writeable = False
+    return a
+
+
 def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
     """Parse line-delimited JSON event records into typed buffers, sorting
     the ids and hashtags once at the end. Malformed lines (bad JSON, unknown
     kind, missing/invalid fields) are skipped and counted; an unreadable
-    stream raises."""
-    ids: dict[str, int] = {}  # id -> code in order of first sight
-    tags: dict[str, int] = {}
-    kind, actor, target, ts = array("B"), array("i"), array("i"), array("q")
-    tag_ptr, tag_ids = array("q", [0]), array("i")
-    skipped = 0
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        fields = _parse_record(line)
-        if fields is None:
-            skipped += 1
-            continue
-        code, who, when, whom, hashtags = fields
-        kind.append(code)
-        actor.append(ids.setdefault(who, len(ids)))
-        target.append(-1 if whom is None else ids.setdefault(whom, len(ids)))
-        ts.append(when)
-        if hashtags:
-            tag_ids.extend([tags.setdefault(tag, len(tags)) for tag in hashtags])
-        tag_ptr.append(len(tag_ids))
-    id_names, id_rank = _interned(ids)
-    tag_names, tag_rank = _interned(tags)
-    return EventLog(id_names, kind, id_rank[actor], id_rank[target], ts,
-                    tag_names, tag_ptr, tag_rank[tag_ids], skipped)
+    stream raises.
+
+    A stream with ``read`` is read in blocks of whole lines, which end at
+    ``\\n`` alone, as in a file opened in the default newline mode. A
+    block whose lines are all as ``synth.write_events_jsonl`` writes them
+    is split by one regex; any other block, and any stream without
+    ``read``, goes line by line through ``json.loads``. Both give the same
+    log."""
+    columns = _Columns()
+    read = getattr(stream, "read", None)
+    if read is None:
+        columns.add_lines(stream)
+    else:
+        while block := read(_BLOCK):
+            block += stream.readline()
+            if not columns.add_block(block):
+                columns.add_lines(block.split("\n"))
+    return columns.log()
 
 
 def read_events(path) -> EventLog:

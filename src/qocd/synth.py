@@ -26,8 +26,9 @@ from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
 
 # the paper's scale: the follow and shares matrices take 1 B per node pair each
 MAX_NODES = 10_000
-# expected events; synth peaks at about 65 B each, so 2^26 take about 4.4 GB,
-# and the defaults at 10^4 nodes and T = 9072 expect 4.1e7
+# expected events; synth peaks at about 53 B each (traced allocations, 828k
+# events), so 2^26 take about 3.6 GB, and the defaults at 10^4 nodes and
+# T = 9072 expect 4.1e7
 MAX_EVENTS = 2**26
 _SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw slice
 _WRITE_LINES = 1024  # event lines per write
@@ -209,8 +210,10 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     kind, actor, target, ts, tag = (a[order] for a in (kind, actor, target,
                                                        ts, tag))
     del order
-    log = EventLog(tuple(ids), kind, actor, target, ts, tags,
-                   np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0])
+    tag_ptr, tag_ids = np.concatenate([[0], np.cumsum(tag >= 0)]), tag[tag >= 0]
+    for column in (kind, actor, target, ts, tag_ptr, tag_ids):
+        column.flags.writeable = False  # so EventLog keeps it, not a copy
+    log = EventLog(tuple(ids), kind, actor, target, ts, tags, tag_ptr, tag_ids)
 
     influenced, sources = (np.concatenate(pair) for pair in zip(intra, cross))
     truth = PlantedTruth(

@@ -743,3 +743,75 @@ def two_matrix_pairwise_te(src, dst, bits, k: int, truncate: bool):
                + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
         table[i] = 0.0 if truncate and raw < 0.0 else raw
     return table
+
+
+# ---------------------------------------------------------------------------
+# The event-log parser as it stood before blocks of canonical lines were
+# split by one regex: json.loads on every stripped line.
+
+def _loop_parse_record(line: str):
+    import json
+
+    kinds = ("post", "mention", "retweet")
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(rec, dict):
+        return None
+    kind, actor, ts = rec.get("kind"), rec.get("actor"), rec.get("ts")
+    target, raw = rec.get("target"), rec.get("hashtags")
+    # type(), not isinstance(): a bool is an int too; ts must fit in int64
+    if (kind not in kinds or not isinstance(actor, str) or not actor
+            or type(ts) is not int or not 0 <= ts < 2 ** 63):
+        return None
+    if kind != "post":  # mentions and retweets need a target, carry no tags
+        ok = isinstance(target, str) and target
+        return (kinds.index(kind), actor, ts, target, ()) if ok else None
+    raw = [] if raw is None else raw
+    if target is not None or not isinstance(raw, list):
+        return None
+    tags = [tag.lower().lstrip("#") for tag in raw if isinstance(tag, str)]
+    # split() returns a tag whole iff it is non-empty and has no whitespace
+    ok = len(tags) == len(raw) and all([tag.split() == [tag] for tag in tags])
+    return (0, actor, ts, None, tags) if ok else None
+
+
+def loop_parse_events(stream):
+    """The EventLog of the lines of ``stream``, one ``json.loads`` each."""
+    from array import array
+
+    from qocd.ingest import EventLog
+
+    ids: dict = {}  # id -> code in order of first sight
+    tags: dict = {}
+    kind, actor, target, ts = array("B"), array("i"), array("i"), array("q")
+    tag_ptr, tag_ids = array("q", [0]), array("i")
+    skipped = 0
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        fields = _loop_parse_record(line)
+        if fields is None:
+            skipped += 1
+            continue
+        code, who, when, whom, hashtags = fields
+        kind.append(code)
+        actor.append(ids.setdefault(who, len(ids)))
+        target.append(-1 if whom is None else ids.setdefault(whom, len(ids)))
+        ts.append(when)
+        if hashtags:
+            tag_ids.extend([tags.setdefault(tag, len(tags)) for tag in hashtags])
+        tag_ptr.append(len(tag_ids))
+
+    def interned(codes):
+        names = sorted(codes)
+        rank = np.full(len(names) + 1, -1, dtype=np.int32)
+        rank[[codes[name] for name in names]] = np.arange(len(names))
+        return tuple(names), rank
+
+    id_names, id_rank = interned(ids)
+    tag_names, tag_rank = interned(tags)
+    return EventLog(id_names, kind, id_rank[actor], id_rank[target], ts,
+                    tag_names, tag_ptr, tag_rank[tag_ids], skipped)

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,18 @@ def test_pipeline_end_to_end(dataset, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "pipeline"
     assert set(manifest["inputs"]) == {"events.jsonl", "follows.csv"}
+
+
+def test_pipeline_reports_skipped_lines(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    with open(data / "events.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "post"}\nnot json\n')
+    assert main(["pipeline", "-i", str(data), "-o", str(tmp_path / "out"),
+                 "--threshold", "2", "--max-lag", "1",
+                 "--featured-lag", "1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        "(2 malformed lines skipped)")
 
 
 def test_weight_table_quotes_ids_with_commas(tmp_path):
@@ -575,6 +588,13 @@ def test_alpha_that_underflows_the_fitness_exits_two(tmp_path, capsys):
     (["a,c,3e-11", "b,a,8e-11", "c,a,5e-11", "c,d,6e-11", "d,b,6e-11"], "32"),
     # 1e-320 is subnormal at alpha 1 already
     (["a,b,1e-320", "b,c,1e-320", "c,a,1e-320"], "1"),
+    # table 2173 of a seeded fuzz (3-6 nodes, weights log-uniform in
+    # 1e-320..1e5): every seed's strength is normal, but cancelling updates
+    # leave a later total whose power is subnormal; the run once exited 0
+    (["a,b,1.1144496322124995e-159", "a,c,1.2811231810614905e-292",
+      "b,c,3.1351148956395555e-70", "c,d,6.038435652333274e-306",
+      "d,a,3.544851e-316", "d,b,7.216837643616795e-236",
+      "d,c,1.5776525869032052e-227"], "1"),
 ])
 def test_alpha_whose_power_is_subnormal_exits_two(tmp_path, capsys, rows,
                                                    alpha):

@@ -3,19 +3,24 @@ against the record-by-record loops in ``oracles``."""
 
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qocd import ingest
 from qocd.activity import batch_coarsen
 from qocd.ingest import (EventLog, StructuralGraph, count_information_events,
-                         parse_events)
-from qocd.synth import SynthConfig, generate
+                         parse_events, read_events)
+from qocd.synth import SynthConfig, generate, write_events_jsonl
 from qocd.weighting import (hashtag_tfidf_vectors, mention_share_weights,
                             retweet_share_weights)
 
-from oracles import (loop_coarsen, loop_information_counts, loop_share,
-                     loop_tfidf)
+from oracles import (loop_coarsen, loop_information_counts, loop_parse_events,
+                     loop_share, loop_tfidf)
 
 INSIDE = ["a", "b", "c", "d", "e", "f"]
 OUTSIDE = ["x", "zz"]  # in the log, never in the graph
@@ -170,3 +175,131 @@ def test_log_arrays_stay_within_forty_bytes_per_event():
               log.tag_ids)
     assert len(log) > 1000
     assert sum(a.nbytes for a in arrays) <= 40 * len(log)
+
+
+def test_log_does_not_share_a_callers_writable_column():
+    kind = np.array([0, 1], dtype=np.uint8)
+    actor = np.array([0, 1], dtype=np.int32)
+    log = EventLog(**columns(kind=kind, actor=actor))
+    kind[:], actor[:] = 1, 0  # the caller writes to its arrays afterwards
+    assert log.kind.tolist() == [0, 1] and log.actor.tolist() == [0, 1]
+    assert kind.flags.writeable and actor.flags.writeable
+
+
+def test_log_keeps_a_read_only_column_of_its_dtype():
+    ts = np.array([5, 6], dtype=np.int64)
+    ts.flags.writeable = False
+    assert EventLog(**columns(ts=ts)).ts is ts
+
+
+LOG_FIELDS = ("ids", "kind", "actor", "target", "ts", "tags", "tag_ptr",
+              "tag_ids", "skipped")
+
+
+def assert_same_log(log, expected):
+    for name in LOG_FIELDS:
+        got, want = getattr(log, name), getattr(expected, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got == want, name
+
+
+# event lines as synth.write_events_jsonl writes them, and as json.dumps
+# writes the same record with non-ASCII text unescaped
+plain_ids = st.text(st.sampled_from("abc"), min_size=1, max_size=2)
+event_ids = st.one_of(plain_ids, plain_ids, plain_ids,
+                      st.text(st.sampled_from('a"\\é\t'), max_size=2))
+event_tags = st.one_of(plain_ids, plain_ids,
+                       st.text(st.sampled_from("aB# é"), max_size=3))
+# a ts of 2**63 or more does not fit in int64
+stamps = st.one_of(st.integers(0, 30), st.integers(0, 10 ** 20),
+                   st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 19 - 1]))
+records = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("post"), "actor": event_ids, "ts": stamps},
+        optional={"hashtags": st.lists(event_tags, min_size=1, max_size=2)}),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["mention", "retweet"]), "actor": event_ids,
+         "ts": stamps, "target": event_ids}))
+canonical = st.builds(lambda rec, ascii: json.dumps(rec, sort_keys=True,
+                                                    ensure_ascii=ascii),
+                      records, st.booleans())
+# lines json.loads reads but the canonical form does not, or the other way
+# round, and lines it skips
+mutated = st.sampled_from([
+    '{"actor": "a\\u0062", "kind": "post", "ts": 1}',
+    '{"actor": "a\\"b", "kind": "post", "ts": 1}',
+    '{"kind": "post", "actor": "a", "ts": 1}',
+    '{"actor":"a","kind":"post","ts":1}',
+    '{"actor": "a", "actor": "b", "kind": "post", "ts": 1}',
+    '{"actor": "a", "kind": "post", "kind": "mention", "ts": 1}',
+    '{"actor": "a", "kind": "post", "ts": 1, "zz": [1]}',
+    '{"actor": "a", "extra": null, "kind": "post", "ts": 1}',
+    '{"actor": "a", "kind": "post", "ts": 1.0}',
+    '{"actor": "a", "kind": "post", "ts": true}',
+    '{"actor": "a", "kind": "post", "ts": -0}',
+    '{"actor": "a", "kind": "post", "ts": 007}',
+    '{"actor": "a", "kind": "post", "ts": 9223372036854775808}',
+    '{"actor": "a", "kind": "post", "ts": 9223372036854775807}',
+    '{"actor": "a", "kind": "post", "ts": 99999999999999999999}',
+    '{"actor": "a", "kind": "post", "target": "b", "ts": 1}',
+    '{"actor": "a", "kind": "mention", "ts": 1}',
+    '{"actor": "a", "hashtags": ["x", 1], "kind": "mention", '
+    '"target": "b", "ts": 1}',
+    '{"actor": "a", "hashtags": ["A b"], "kind": "retweet", '
+    '"target": "b", "ts": 1}',
+    '{"actor": "a", "hashtags": null, "kind": "post", "ts": 1}',
+    '{"actor": "a", "hashtags": [1], "kind": "post", "ts": 1}',
+    '{"actor": "a", "hashtags": ["#"], "kind": "post", "ts": 1}',
+    '{"actor": "a", "hashtags": ["a b"], "kind": "post", "ts": 1}',
+    '{"actor": "a", "hashtags": ["a]b"], "kind": "post", "ts": 1}',
+    '{"actor": "a", "hashtags": [], "kind": "post", "ts": 1}',
+    '{"actor": "", "kind": "post", "ts": 1}',
+    '{"actor": "a", "kind": "mention", "target": "", "ts": 1}',
+    '{"actor": "a", "kind": "like", "ts": 1}',
+    '{"actor": "a", "kind": "post", "ts": 1}{"actor": "b", "kind": "post", '
+    '"ts": 2}',
+    '["actor", "a"]',
+    '{"actor": "a", "kind": "post", "ts": 1',
+    "",
+    " \t",
+    "\x0c",
+])
+padded = st.builds(lambda line, pad: pad + line + pad, canonical,
+                   st.sampled_from([" ", "\t", "\x0b", "\u2028"]))
+lines = st.lists(st.tuples(
+    st.one_of(canonical, canonical, canonical, canonical, mutated, padded),
+    st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines, st.booleans(), st.integers(1, 200))
+def test_block_parse_equals_the_line_loop(ended_lines, final_newline, block):
+    text = "".join(line + end for line, end in ended_lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest, "_BLOCK", block):
+        path = Path(tmp) / "events.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        with open(path, encoding="utf-8") as fh:
+            expected = loop_parse_events(fh)
+        assert_same_log(read_events(path), expected)
+        # no newline translation: a lone \r ends no line
+        assert_same_log(parse_events(io.StringIO(text)),
+                        loop_parse_events(io.StringIO(text)))
+
+
+def test_synth_log_takes_the_block_path_whole(tmp_path):
+    log, _, _ = generate(SynthConfig(nodes=20, communities=2, bins=300,
+                                     seed=5))
+    write_events_jsonl(log, tmp_path / "events.jsonl")
+    with mock.patch.object(ingest, "_BLOCK", 4096), \
+            mock.patch.object(ingest._Columns, "add_lines",
+                              side_effect=AssertionError("line by line")):
+        back = read_events(tmp_path / "events.jsonl")
+    with open(tmp_path / "events.jsonl", encoding="utf-8") as fh:
+        assert_same_log(back, loop_parse_events(fh))
+    assert len(back) == len(log) > 1000 and back.tags
