@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import (POST, RETWEET, EventLog, StructuralGraph, write_csv,
-                     write_json)
+from .ingest import (POST, RETWEET, EventLog, StructuralGraph, _exact_cast,
+                     write_csv, write_json)
 
 # nodes x bins: 1 GiB of uint8 activity and 4 GiB of int32 TE window codes
 MAX_CELLS = 2**30
@@ -28,7 +28,8 @@ class ActivityMatrix:
     ``bits[i, j]`` is 1 iff ``nodes[i]`` was active in bin j, which covers
     timestamps ``origin + j*bin_width`` (inclusive) to
     ``origin + (j+1)*bin_width`` (exclusive). Nodes are sorted and unique,
-    one row each; the matrix is a read-only uint8 copy.
+    one row each. The matrix is read-only uint8: a read-only uint8 matrix
+    is kept as it is, anything else is copied, as in ``EventLog``.
     """
 
     nodes: tuple[str, ...]
@@ -46,9 +47,12 @@ class ActivityMatrix:
         if bits.shape[0] != len(nodes):
             raise ValueError(f"activity has {bits.shape[0]} rows for "
                              f"{len(nodes)} nodes")
-        if not ((bits == 0) | (bits == 1)).all():
+        try:
+            bits = _exact_cast(bits, np.uint8)
+        except ValueError:
+            bits = None
+        if bits is None or bits.max(initial=0) > 1:
             raise ValueError("activity values must be 0 or 1")
-        bits = bits.astype(np.uint8)  # a copy, so the caller's array stays free
         bits.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "bits", bits)
@@ -93,6 +97,7 @@ def batch_coarsen(log: EventLog, graph: StructuralGraph, bin_width: int = 600,
     keep = ((row >= 0) & np.isin(log.kind, kinds)
             & (log.ts >= origin) & (log.ts <= end))
     bits[row[keep], (log.ts[keep] - origin) // bin_width] = 1
+    bits.flags.writeable = False  # so ActivityMatrix keeps it, not a copy
     return ActivityMatrix(nodes, bits, bin_width, origin)
 
 

@@ -29,9 +29,8 @@ from .edgestats import conditional_weights, partition_edges, size_ccdf
 from .infotheory import MAX_LAG
 from .ingest import (check_ids, count_information_events, filter_active,
                      giant_scc, read_events, read_follow_edges, write_csv,
-                     write_follow_edges, write_json)
-from .synth import (SynthConfig, generate, write_events_jsonl,
-                    write_influence_edges)
+                     write_events_jsonl, write_follow_edges, write_json)
+from .synth import SynthConfig, generate, write_influence_edges
 from .weighting import (WeightedDigraph, hashtag_similarity_weights,
                         hashtag_tfidf_vectors, mention_retweet_weights,
                         mention_share_weights, orphans, retweet_share_weights,
@@ -69,8 +68,11 @@ def _bounded(convert, low, strict: bool = False, high=math.inf):
     return parse
 
 
+# histogram bins per edge report: memory and summary.json grow with it
+MAX_HIST_BINS = 10_000
 _positive_int = _bounded(int, 1)
 _lag = _bounded(int, 1, high=MAX_LAG)
+_hist_bins = _bounded(int, 1, high=MAX_HIST_BINS)
 _non_negative_int = _bounded(int, 0)
 _positive_float = _bounded(float, 0, strict=True)
 
@@ -438,7 +440,7 @@ def build_parser() -> _Parser:
                            help="retweets do not mark the actor as active")
     weighting.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
     alpha.add_argument("--alpha", type=_positive_float, default=1.0)
-    hist_bins.add_argument("--hist-bins", type=_positive_int, default=50)
+    hist_bins.add_argument("--hist-bins", type=_hist_bins, default=50)
 
     p = sub.add_parser("ingest", help="parse, filter, and restrict the graph",
                        parents=[threshold])

@@ -1,9 +1,10 @@
 """Raw data ingestion: event logs, follow graphs, and activity filtering.
 
-Events arrive as JSON lines (one record per line) and follow relations as a
+Events arrive as JSON lines in the one format that ``write_events_jsonl``
+writes and ``parse_events`` reads, follow relations as a
 ``followee,follower`` CSV. Follow edges are stored followee -> follower, the
-direction information travels. Filtering keeps users with enough incoming and
-outgoing information events and then restricts to the giant strongly
+direction information travels. Filtering keeps users with enough incoming
+and outgoing information events and then restricts to the giant strongly
 connected component. The module also holds the one output format:
 ``open_output``, ``write_csv`` and ``write_json`` open, quote and format
 every file qocd writes.
@@ -235,12 +236,12 @@ def _interned(codes: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), rank
 
 
-# One event line as synth.write_events_jsonl writes it: keys in sorted
-# order, ", " and ": " separators, strings with no escape or control
-# character, and a ts with no sign, fraction or leading zero. Only the
-# end of the pattern matches a line end, so each match is one whole line.
-# split() yields the text before each match, then its actor, hashtags,
-# kind, target and ts.
+# One event line as write_events_jsonl writes it: keys in sorted order,
+# ", " and ": " separators, strings with no escape or control character,
+# and a ts with no sign, fraction or leading zero. Only the end of the
+# pattern matches a line end, so each match lies within one line. split()
+# yields the text before each match, then its actor, hashtags, kind,
+# target and ts.
 _CHAR = r'[^"\\\x00-\x1f]'  # a string character that needs no escape
 _CANONICAL = re.compile(
     rf'\{{"actor": "({_CHAR}+)"'
@@ -248,11 +249,32 @@ _CANONICAL = re.compile(
     rf', "kind": "(post|mention|retweet)"(?:, "target": "({_CHAR}+)")?'
     r', "ts": (0|[1-9][0-9]{0,18})\}(?:\n|\Z)')
 _KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
-# characters read at once, then up to the next line end; a block's split
+# characters of whole lines that readlines reads at once; a batch's split
 # strings take several times its size, so it stays small
 _BLOCK = 1 << 18
 _CHUNK = 1 << 16  # codes ranked at once
-_INT64_MAX = 2 ** 63 - 1
+_WRITE_LINES = 1024  # event lines per write
+
+
+def write_events_jsonl(log: EventLog, path) -> None:
+    """Each line equals ``json.dumps(record, sort_keys=True)``, joined in key
+    order from pieces json.dumps encoded once per id, tag and kind."""
+    ids = [json.dumps(name) for name in log.ids]
+    targets = [', "target": ' + name for name in ids] + [""]  # -1: a post
+    kinds = [json.dumps(name) for name in EVENT_KINDS]
+    tags = [json.dumps(name) for name in log.tags]
+    with open_output(path) as fh:
+        for lo in range(0, len(log), _WRITE_LINES):
+            ptr = log.tag_ptr[lo:lo + _WRITE_LINES + 1]
+            names = [tags[j] for j in log.tag_ids[ptr[0]:ptr[-1]].tolist()]
+            ptr = (ptr - ptr[0]).tolist()
+            hashtags = [f', "hashtags": [{", ".join(names[a:b])}]' if b > a
+                        else "" for a, b in zip(ptr, ptr[1:])]
+            rows = zip(*(col[lo:lo + _WRITE_LINES].tolist() for col in (
+                log.actor, log.kind, log.target, log.ts)), hashtags)
+            fh.write("".join([f'{{"actor": {ids[a]}{h}, "kind": {kinds[k]}'
+                              f'{targets[t]}, "ts": {s}}}\n'
+                              for a, k, t, s, h in rows]))
 
 
 class _Columns:
@@ -269,50 +291,42 @@ class _Columns:
         self.tag_ptr, self.tag_ids = array("q", [0]), array("i")
         self.skipped = 0
 
-    def add_lines(self, lines: Iterable[str]) -> None:
+    def add_lines(self, lines: list[str]) -> None:
         """Append each line's event through :func:`_parse_record`; count
         the bad lines, pass over the blank ones."""
-        ids, tags = self.ids, self.tags
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            fields = _parse_record(line)
-            if fields is None:
-                self.skipped += 1
-                continue
-            code, who, when, whom, hashtags = fields
-            self.kind.append(code)
-            self.actor.append(ids.setdefault(who, len(ids)))
-            self.target.append(-1 if whom is None
-                               else ids.setdefault(whom, len(ids)))
-            self.ts.append(when)
-            if hashtags:
-                self.tag_ids.extend([tags.setdefault(tag, len(tags))
-                                     for tag in hashtags])
-            self.tag_ptr.append(len(self.tag_ids))
+        text = [line for line in map(str.strip, lines) if line]
+        fields = [rec for rec in map(_parse_record, text) if rec is not None]
+        self.skipped += len(text) - len(fields)
+        if fields:
+            kind, actors, stamps, targets, hashtags = zip(*fields)
+            tags = self.tags
+            self._append(array("B", kind), actors, targets,
+                         np.array(stamps, dtype=np.int64),
+                         [[tags.setdefault(tag, len(tags)) for tag in names]
+                          for code, names in zip(kind, hashtags)
+                          if code == POST])
 
-    def add_block(self, block: str) -> bool:
-        """Append the events of a block of whole lines and return True if
-        every line matches ``_CANONICAL`` and :func:`_parse_record` would
-        accept each one; else append nothing and return False.
+    def add_block(self, lines: list[str]) -> bool:
+        """Append the events of a batch of whole lines and return True if
+        each line is one match of ``_CANONICAL`` and :func:`_parse_record`
+        would accept each one; else append nothing and return False.
 
         A mention's or retweet's hashtags are ignored, as there. Each
-        distinct hashtags text is decoded once per parse, and a block
+        distinct hashtags text is decoded once per parse, and a batch
         codes no id, tag or text until every check has passed."""
-        parts = _CANONICAL.split(block)
-        if any(parts[::6]):
+        parts = _CANONICAL.split("".join(lines))
+        # one match per line: a stream split at \r alone may pass a \n in one
+        if len(parts) != 6 * len(lines) + 1 or any(parts[::6]):
             return False
         actors, hashtags, kinds, targets, stamps = (parts[i::6]
                                                     for i in range(1, 6))
         kind = array("B", map(_KIND_CODES.__getitem__, kinds))
         ts = np.fromstring(" ".join(stamps), dtype=np.int64, sep=" ")
         # strtoll clamps a ts of 2**63 or more to the int64 maximum, so a
-        # block holding that maximum goes to json.loads, which tells them apart
-        if len(ts) and ts.max() == _INT64_MAX:
+        # batch holding that maximum goes to json.loads, which tells them apart
+        if ts.max() == np.iinfo(np.int64).max:
             return False
-        is_post = np.asarray(kind) == POST
-        post = is_post.tolist()
+        post = (np.asarray(kind) == POST).tolist()
         post_tags = list(compress(hashtags, post))
         # a post has no target; a mention or a retweet has one
         if any(compress(targets, post)) or \
@@ -323,8 +337,19 @@ class _Columns:
                for text in dict.fromkeys(post_tags) if text not in coded}
         if None in new.values():
             return False
+        tags = self.tags
+        for text, names in new.items():
+            coded[text] = [tags.setdefault(tag, len(tags)) for tag in names]
+        self._append(kind, actors, targets, ts,
+                     list(map(coded.__getitem__, post_tags)))
+        return True
 
-        ids, tags = self.ids, self.tags
+    def _append(self, kind: array, actors, targets, ts: np.ndarray,
+                post_tags: list[list[int]]) -> None:
+        """Append events given as their kind codes, actor and target ids
+        (None: a post's target), int64 stamps and the tag codes of each
+        post in order; ids are coded here."""
+        ids = self.ids
         actor = array("i", map(ids.get, actors, repeat(-1)))
         target = array("i", map(ids.get, targets, repeat(-1)))
         if -1 in actor or target.count(-1) != len(post_tags):  # a new id
@@ -333,20 +358,16 @@ class _Columns:
                     ids.setdefault(name, len(ids))
             actor = array("i", map(ids.__getitem__, actors))
             target = array("i", map(ids.get, targets, repeat(-1)))
-        for text, names in new.items():
-            coded[text] = [tags.setdefault(tag, len(tags)) for tag in names]
-        per_post = list(map(coded.__getitem__, post_tags))
         per_event = np.zeros(len(kind), dtype=np.int64)
-        per_event[is_post] = np.fromiter(map(len, per_post), dtype=np.int64,
-                                         count=len(per_post))
+        per_event[np.asarray(kind) == POST] = np.fromiter(
+            map(len, post_tags), dtype=np.int64, count=len(post_tags))
         self.kind += kind
         self.actor += actor
         self.target += target
         self.ts.frombytes(ts.tobytes())
         self.tag_ptr.frombytes((np.cumsum(per_event)
                                 + self.tag_ptr[-1]).tobytes())
-        self.tag_ids += array("i", chain.from_iterable(per_post))
-        return True
+        self.tag_ids += array("i", chain.from_iterable(post_tags))
 
     def log(self) -> EventLog:
         """The event log of the buffers, handed over without a copy: the
@@ -371,27 +392,21 @@ def _frozen(buffer: array, rank: np.ndarray | None = None) -> np.ndarray:
     return a
 
 
-def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
-    """Parse line-delimited JSON event records into typed buffers, sorting
-    the ids and hashtags once at the end. Malformed lines (bad JSON, unknown
-    kind, missing/invalid fields) are skipped and counted; an unreadable
-    stream raises.
+def parse_events(stream: IO[str]) -> EventLog:
+    """Parse a text stream of JSON event records, one per line, into typed
+    buffers, sorting the ids and hashtags once at the end. Malformed lines
+    (bad JSON, unknown kind, missing/invalid fields) are skipped and
+    counted; an unreadable stream raises.
 
-    A stream with ``read`` is read in blocks of whole lines, which end at
-    ``\\n`` alone, as in a file opened in the default newline mode. A
-    block whose lines are all as ``synth.write_events_jsonl`` writes them
-    is split by one regex; any other block, and any stream without
-    ``read``, goes line by line through ``json.loads``. Both give the same
+    Lines are read as the stream splits them, in batches of whole lines
+    from ``readlines``. A batch whose lines are all as
+    :func:`write_events_jsonl` writes them is split by one regex; any other
+    batch goes line by line through ``json.loads``. Both give the same
     log."""
     columns = _Columns()
-    read = getattr(stream, "read", None)
-    if read is None:
-        columns.add_lines(stream)
-    else:
-        while block := read(_BLOCK):
-            block += stream.readline()
-            if not columns.add_block(block):
-                columns.add_lines(block.split("\n"))
+    while lines := stream.readlines(_BLOCK):
+        if not columns.add_block(lines):
+            columns.add_lines(lines)
     return columns.log()
 
 

@@ -4,14 +4,13 @@ Produces a follow graph with planted (optionally overlapping) communities, a
 post history in which chosen followee->follower pairs carry real lagged
 influence, community-correlated hashtags, and community-biased mentions and
 retweets. Everything is drawn from one seeded generator in a fixed order, so
-a config reproduces its dataset exactly. The emitted event log and follow
-edges use the same formats the ingest module reads, which lets the full
-pipeline run end to end on known ground truth.
+a config reproduces its dataset exactly. The event log and follow graph it
+returns are the ingest module's, which writes and reads them, so the full
+pipeline runs end to end on known ground truth.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -21,7 +20,7 @@ import numpy as np
 from .activity import MAX_CELLS
 from .communities import Covering
 from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
-                     StructuralGraph, _interned, open_output, write_csv)
+                     StructuralGraph, _interned, write_csv)
 
 
 # the paper's scale: the follow and shares matrices take 1 B per node pair each
@@ -31,7 +30,6 @@ MAX_NODES = 10_000
 # T = 9072 expect 4.1e7
 MAX_EVENTS = 2**26
 _SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw slice
-_WRITE_LINES = 1024  # event lines per write
 COUNTS = ("nodes", "communities", "bins", "bin_width", "influence_in_degree",
           "influence_lag", "cross_influencers", "cross_span", "hashtag_pool",
           "shared_pool", "seed")
@@ -281,27 +279,6 @@ def _draw_activity(cfg: SynthConfig, rng, influence) -> np.ndarray:
                 boost[targets[activity[t - lag, sources]]] = coupling
         activity[t] = rng.random(n) < cfg.rho + boost
     return activity.T
-
-
-def write_events_jsonl(log: EventLog, path) -> None:
-    """Each line equals ``json.dumps(record, sort_keys=True)``, joined in key
-    order from pieces json.dumps encoded once per id, tag and kind."""
-    ids = [json.dumps(name) for name in log.ids]
-    targets = [', "target": ' + name for name in ids] + [""]  # -1: a post
-    kinds = [json.dumps(name) for name in EVENT_KINDS]
-    tags = [json.dumps(name) for name in log.tags]
-    with open_output(path) as fh:
-        for lo in range(0, len(log), _WRITE_LINES):
-            ptr = log.tag_ptr[lo:lo + _WRITE_LINES + 1]
-            names = [tags[j] for j in log.tag_ids[ptr[0]:ptr[-1]].tolist()]
-            ptr = (ptr - ptr[0]).tolist()
-            hashtags = [f', "hashtags": [{", ".join(names[a:b])}]' if b > a
-                        else "" for a, b in zip(ptr, ptr[1:])]
-            rows = zip(*(col[lo:lo + _WRITE_LINES].tolist() for col in (
-                log.actor, log.kind, log.target, log.ts)), hashtags)
-            fh.write("".join([f'{{"actor": {ids[a]}{h}, "kind": {kinds[k]}'
-                              f'{targets[t]}, "ts": {s}}}\n'
-                              for a, k, t, s, h in rows]))
 
 
 def write_influence_edges(truth: PlantedTruth, path) -> None:

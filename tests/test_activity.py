@@ -161,6 +161,11 @@ class TestActivityMatrix:
         with pytest.raises(ValueError):
             activity.bits[0, 0] = 1
 
+    def test_keeps_a_read_only_uint8_matrix(self):
+        bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        bits.flags.writeable = False
+        assert ActivityMatrix(("a", "b"), bits, 600, 0).bits is bits
+
 
 def test_series_csv_dump(tmp_path):
     import json

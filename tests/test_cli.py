@@ -307,6 +307,7 @@ def test_usage_errors_exit_one():
     ["--threshold", "-5"],
     ["--threads", "0"],
     ["--alpha", "inf"],
+    ["--hist-bins", "10001"],
 ])
 def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -324,6 +325,7 @@ def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     ["detect", "--alpha", "0"],
     ["ingest", "--threshold", "-5"],
     ["weight", "--scheme", "te", "--threads", "0"],
+    ["edges", "--hist-bins", "10001"],
 ])
 def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
     out = tmp_path / "out"

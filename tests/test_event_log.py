@@ -9,13 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qocd import ingest
 from qocd.activity import batch_coarsen
 from qocd.ingest import (EventLog, StructuralGraph, count_information_events,
-                         parse_events, read_events)
-from qocd.synth import SynthConfig, generate, write_events_jsonl
+                         parse_events, read_events, write_events_jsonl)
+from qocd.synth import SynthConfig, generate
 from qocd.weighting import (hashtag_tfidf_vectors, mention_share_weights,
                             retweet_share_weights)
 
@@ -206,7 +206,7 @@ def assert_same_log(log, expected):
             assert got == want, name
 
 
-# event lines as synth.write_events_jsonl writes them, and as json.dumps
+# event lines as write_events_jsonl writes them, and as json.dumps
 # writes the same record with non-ASCII text unescaped
 plain_ids = st.text(st.sampled_from("abc"), min_size=1, max_size=2)
 event_ids = st.one_of(plain_ids, plain_ids, plain_ids,
@@ -276,6 +276,11 @@ lines = st.lists(st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(lines, st.booleans(), st.integers(1, 200))
+@example([('{"actor": "a\\u0062", "kind": "post", "ts": 1}', "\r"),
+          ('{"actor": "a\\u0062", "kind": "post", "ts": 1}', "\n")],
+         True, 200)
+@example([('{"actor": "a", "kind": "post", "ts": 1}', "\n"),
+          ('{"actor": "b", "kind": "post", "ts": 2}', "\n")], False, 200)
 def test_block_parse_equals_the_line_loop(ended_lines, final_newline, block):
     text = "".join(line + end for line, end in ended_lines)
     if not final_newline:
@@ -287,9 +292,16 @@ def test_block_parse_equals_the_line_loop(ended_lines, final_newline, block):
         with open(path, encoding="utf-8") as fh:
             expected = loop_parse_events(fh)
         assert_same_log(read_events(path), expected)
-        # no newline translation: a lone \r ends no line
-        assert_same_log(parse_events(io.StringIO(text)),
-                        loop_parse_events(io.StringIO(text)))
+        # streams that split lines their own way: at \n alone (no
+        # translation), at any end once translated, at any end untranslated
+        # (a lone \r too), at \r\n alone, and a file split at \r alone
+        for newline in ("\n", None, "", "\r\n"):
+            assert_same_log(parse_events(io.StringIO(text, newline=newline)),
+                            loop_parse_events(io.StringIO(text,
+                                                          newline=newline)))
+        with open(path, encoding="utf-8", newline="\r") as fh, \
+                open(path, encoding="utf-8", newline="\r") as oracle_fh:
+            assert_same_log(parse_events(fh), loop_parse_events(oracle_fh))
 
 
 def test_synth_log_takes_the_block_path_whole(tmp_path):

@@ -6,6 +6,7 @@ log, which takes any non-empty id.
 """
 
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -18,10 +19,10 @@ from qocd.cli import (_write_nmi_csv, _write_report, read_weight_table,
                       write_weight_table)
 from qocd.communities import (Covering, covering_stats, read_covering,
                               write_covering)
-from qocd.ingest import (StructuralGraph, check_ids, parse_events, read_events,
-                         read_follow_edges, write_follow_edges)
-from qocd.synth import (_WRITE_LINES, SynthConfig, generate,
-                        write_events_jsonl)
+from qocd.ingest import (_WRITE_LINES, StructuralGraph, check_ids,
+                         parse_events, read_events, read_follow_edges,
+                         write_events_jsonl, write_follow_edges)
+from qocd.synth import SynthConfig, generate
 from qocd.weighting import WeightedDigraph
 
 from oracles import json_dumps_events_jsonl
@@ -176,7 +177,8 @@ interactions = st.fixed_dictionaries(
 @ROUND_TRIPS
 @given(st.lists(st.one_of(posts, interactions), max_size=12))
 def test_event_log_round_trip(records):
-    log = parse_events(json.dumps(rec) for rec in records)
+    log = parse_events(io.StringIO(
+        "".join(json.dumps(rec) + "\n" for rec in records)))
     assert log.skipped == 0 and len(log) == len(records)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"
@@ -219,7 +221,8 @@ def written(log, writer) -> bytes:
           {"kind": "post", "actor": "\ud800", "ts": 2 ** 63 - 1,
            "hashtags": ["a"]}])
 def test_writer_equals_json_dumps_of_each_record(records):
-    log = parse_events(json.dumps(rec) for rec in records)
+    log = parse_events(io.StringIO(
+        "".join(json.dumps(rec) + "\n" for rec in records)))
     assert len(log) == len(records)
     assert (written(log, write_events_jsonl)
             == written(log, json_dumps_events_jsonl))
