@@ -6,7 +6,7 @@ retweets), and topic similarity (hashtag tf-idf cosine). Each weighting
 feeds the greedy detector; coverings are scored against the planted truth.
 """
 
-from qocd import (FitnessParams, SynthConfig, batch_coarsen, covering_stats,
+from qocd import (SynthConfig, batch_coarsen, covering_stats,
                   detect_communities, generate, hashtag_similarity_weights,
                   hashtag_tfidf_vectors, mention_retweet_weights,
                   mention_share_weights, nmi, orphans, retweet_share_weights,
@@ -29,7 +29,7 @@ weightings = {
 print(f"{'weighting':<22}{'pos.edges':>10}{'orphans':>9}"
       f"{'comms':>7}{'singles':>9}{'NMI vs truth':>14}")
 for name, wg in weightings.items():
-    covering = detect_communities(wg, FitnessParams(alpha=1.0))
+    covering = detect_communities(wg, alpha=1.0)
     stats = covering_stats(covering)
     positive = sum(1 for w in wg.weights.values() if w > 0)
     print(f"{name:<22}{positive:>10}{len(orphans(wg)):>9}"

@@ -8,8 +8,8 @@ the resulting coverings and their edge-weight structure.
 __version__ = "0.1.0"
 
 from .activity import ActivityMatrix, batch_coarsen
-from .communities import (Covering, FitnessParams, covering_stats,
-                          detect_communities, read_covering, write_covering)
+from .communities import (Covering, covering_stats, detect_communities,
+                          read_covering, write_covering)
 from .compare import nmi, nmi_matrix
 from .edgestats import (EDGE_CLASSES, conditional_weights, partition_edges,
                         size_ccdf)
@@ -27,8 +27,8 @@ from .weighting import (WeightedDigraph, cosine,
 
 __all__ = [
     "ActivityMatrix", "Covering", "EDGE_CLASSES", "EntropyEstimate",
-    "EventLog", "FitnessParams", "PlantedTruth", "StructuralGraph",
-    "SynthConfig", "WeightedDigraph", "batch_coarsen", "conditional_weights",
+    "EventLog", "PlantedTruth", "StructuralGraph", "SynthConfig",
+    "WeightedDigraph", "batch_coarsen", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",
     "detect_communities", "filter_active", "generate", "giant_scc",
     "hashtag_similarity_weights", "hashtag_tfidf_vectors",

@@ -22,8 +22,8 @@ import numpy
 
 from . import __version__
 from .activity import batch_coarsen, write_series_csv
-from .communities import (Covering, FitnessParams, covering_stats,
-                          detect_communities, read_covering, write_covering)
+from .communities import (Covering, covering_stats, detect_communities,
+                          read_covering, write_covering)
 from .compare import nmi_matrix
 from .edgestats import conditional_weights, partition_edges, size_ccdf
 from .infotheory import MAX_LAG
@@ -70,7 +70,10 @@ def _bounded(convert, low, strict: bool = False, high=math.inf):
 
 # histogram bins per edge report: memory and summary.json grow with it
 MAX_HIST_BINS = 10_000
+# timestamps are int64, and batch_coarsen divides them by the width in int64
+MAX_BIN_WIDTH = 2**63 - 1
 _positive_int = _bounded(int, 1)
+_bin_width = _bounded(int, 1, high=MAX_BIN_WIDTH)
 _lag = _bounded(int, 1, high=MAX_LAG)
 _hist_bins = _bounded(int, 1, high=MAX_HIST_BINS)
 _non_negative_int = _bounded(int, 0)
@@ -147,11 +150,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_ingest(events_path: Path, follows_path: Path, threshold: int):
+def _run_ingest(indir: Path, threshold: int):
     """The event log, the filtered graph and its ``filter_report.json``
-    dict; writes nothing. Node tuples are sorted, so each list is too."""
-    log = read_events(events_path)
-    graph = read_follow_edges(follows_path)
+    dict, from ``events.jsonl`` and ``follows.csv`` in ``indir``; writes
+    nothing. Node tuples are sorted, so each list is too."""
+    log = read_events(indir / "events.jsonl")
+    graph = read_follow_edges(indir / "follows.csv")
     active = filter_active(graph, count_information_events(log, graph),
                            threshold)
     if not active.nodes:
@@ -174,10 +178,7 @@ def _write_ingest(graph, report: dict, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    indir = Path(args.input)
-    events = Path(args.events) if args.events else indir / "events.jsonl"
-    follows = Path(args.follows) if args.follows else indir / "follows.csv"
-    log, graph, report = _run_ingest(events, follows, args.threshold)
+    log, graph, report = _run_ingest(Path(args.input), args.threshold)
     _write_ingest(graph, report, Path(args.output))
     kept = len(report["kept"])
     removed = len(report["removed_inactive"]) + len(report["removed_not_in_gscc"])
@@ -243,7 +244,7 @@ def cmd_weight(args) -> int:
 
 def cmd_detect(args) -> int:
     wg = read_weight_table(Path(args.weights))
-    covering = detect_communities(wg, FitnessParams(alpha=args.alpha))
+    covering = detect_communities(wg, args.alpha)
     out = Path(args.output)
     write_covering(covering, out)
     stats = covering_stats(covering)
@@ -336,13 +337,11 @@ def cmd_report(args) -> int:
 
 def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
-    events_path, follows_path = indir / "events.jsonl", indir / "follows.csv"
-    log, graph, report = _run_ingest(events_path, follows_path, args.threshold)
+    log, graph, report = _run_ingest(indir, args.threshold)
     built, _ = _run_weights(log, graph, args, SCHEMES,
                             range(1, args.max_lag + 1))
     tables = {wg.scheme: wg for wg, _ in built}
-    params = FitnessParams(alpha=args.alpha)
-    coverings = {name: detect_communities(wg, params)
+    coverings = {name: detect_communities(wg, args.alpha)
                  for name, wg in tables.items()}
     # the first file is written here, once every stage that can reject the
     # input (the activity bound, alpha's float range) has passed
@@ -389,10 +388,8 @@ def cmd_pipeline(args) -> int:
             "tfidf_log_base": args.tfidf_log_base,
             "retweets_count_as_activity": not args.no_retweet_activity,
         },
-        "inputs": {
-            "events.jsonl": _sha256(events_path),
-            "follows.csv": _sha256(follows_path),
-        },
+        "inputs": {name: _sha256(indir / name)
+                   for name in ("events.jsonl", "follows.csv")},
     }
     write_json(out / "manifest.json", manifest)
     print(f"pipeline: {len(graph.nodes)} nodes, {len(tables)} weightings, "
@@ -419,7 +416,7 @@ def build_parser() -> _Parser:
                  "--influence-in-degree", "--influence-lag",
                  "--cross-influencers", "--cross-span"):
         p.add_argument(flag, type=int)
-    p.add_argument("--bin-width", type=_positive_int)
+    p.add_argument("--bin-width", type=_bin_width)
     p.add_argument("--overlap", type=float, dest="overlap_fraction")
     for flag in ("--p-in", "--p-out", "--epsilon", "--rho", "--cross-epsilon",
                  "--mention-events", "--retweet-events",
@@ -433,7 +430,7 @@ def build_parser() -> _Parser:
     threshold.add_argument("--threshold", type=_non_negative_int, default=9,
                            help="min outgoing AND incoming information events")
     weighting.add_argument("--max-lag", type=_lag, default=6)
-    weighting.add_argument("--bin-width", type=_positive_int, default=600)
+    weighting.add_argument("--bin-width", type=_bin_width, default=600)
     weighting.add_argument("--threads", type=_positive_int, default=1,
                            help="accepted for compatibility; has no effect")
     weighting.add_argument("--no-retweet-activity", action="store_true",
@@ -444,9 +441,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse, filter, and restrict the graph",
                        parents=[threshold])
-    p.add_argument("-i", "--input", default=".")
-    p.add_argument("--events", help="events JSONL (default INPUT/events.jsonl)")
-    p.add_argument("--follows", help="follow CSV (default INPUT/follows.csv)")
+    p.add_argument("-i", "--input", default=".",
+                   help="directory holding events.jsonl and follows.csv")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_ingest)
 

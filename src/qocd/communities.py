@@ -93,18 +93,6 @@ def membership_rows(covering: Covering, nodes: np.ndarray,
     return np.repeat(np.arange(len(nodes)), counts), covering.rows[at]
 
 
-@dataclass(frozen=True)
-class FitnessParams:
-    """Resolution parameter for the greedy detector; larger alpha favors
-    smaller, tighter communities."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:  # also rejects NaN
-            raise ValueError("alpha must be positive and finite")
-
-
 def read_covering(path, universe: Iterable[str] | None = None) -> Covering:
     """Read a covering file: one community per line, whitespace-separated ids.
 
@@ -211,13 +199,13 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
             move(leaver)
 
 
-def detect_communities(wg: WeightedDigraph,
-                       params: FitnessParams = FitnessParams()) -> Covering:
+def detect_communities(wg: WeightedDigraph, alpha: float = 1.0) -> Covering:
     """Greedy local-fitness expansion into an overlapping covering.
 
     Fitness of a node set C is w_in / (w_in + w_bnd)^alpha, where w_in sums
     edge weights inside C (either direction) and w_bnd those crossing its
-    boundary (Lancichinetti, Fortunato & Kertesz 2009). Seeds are taken in
+    boundary (Lancichinetti, Fortunato & Kertesz 2009); a larger alpha, the
+    resolution, favors smaller, tighter communities. Seeds are taken in
     descending total incident weight (ties by id), skipping nodes already
     covered. Each seed grows by the single best strictly-improving neighbor
     (ties to the first id), then sheds any member (never the seed) whose
@@ -227,6 +215,8 @@ def detect_communities(wg: WeightedDigraph,
     Both edge directions pool into one neighbour -> weight dict per node
     code, filled in edge order, so every float sum runs in one order.
     """
+    if not 0 < alpha < math.inf:  # also rejects NaN
+        raise ValueError("alpha must be positive and finite")
     nodes = wg.graph.nodes
     adjacency: list[dict[int, float]] = [{} for _ in nodes]
     positive = wg.values > 0
@@ -245,7 +235,7 @@ def detect_communities(wg: WeightedDigraph,
     for seed in sorted(range(len(nodes)), key=lambda v: (-strength[v], v)):
         if seed in covered or strength[seed] <= 0:
             continue
-        members = _grow(seed, adjacency, strength, params.alpha)
+        members = _grow(seed, adjacency, strength, alpha)
         covered.update(members)
         if len(members) >= 2:
             communities.append(frozenset(nodes[v] for v in members))

@@ -59,16 +59,6 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     )
 
 
-def as_bits(series: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Coerce a 0/1 sequence to a uint8 array."""
-    arr = np.asarray(series)
-    if arr.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("series values must be 0 or 1")
-    return arr.astype(np.uint8)
-
-
 MAX_LAG = 12  # a joint code has 2k+1 <= 25 bits; its bincount is 256 MiB at 12
 
 
@@ -127,14 +117,18 @@ def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
 
     x is the target (follower) series and y the source (followee) series.
     With ``truncate`` the estimate is floored at zero; otherwise the raw,
-    possibly negative adjusted value is returned.
+    possibly negative adjusted value is returned. The pair must be 0/1
+    series of one length, as ``ActivityMatrix`` rows are.
     """
-    xb, yb = as_bits(x), as_bits(y)
-    if len(xb) != len(yb):
-        raise ValueError(f"series lengths differ: {len(xb)} vs {len(yb)}")
-    _check_lag(k, len(xb))
-    n = len(xb) - k
-    w_x, w_y = _window_codes(np.stack([xb, yb]), k)
+    xa, ya = np.asarray(x), np.asarray(y)
+    if xa.ndim != 1 or ya.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if len(xa) != len(ya):
+        raise ValueError(f"series lengths differ: {len(xa)} vs {len(ya)}")
+    bits = ActivityMatrix(("x", "y"), np.stack([xa, ya]), 1, 0).bits
+    _check_lag(k, len(xa))
+    n = len(xa) - k
+    w_x, w_y = _window_codes(bits, k)
     return _te(_entropies(w_x, n), w_x, w_y, k, n, truncate)
 
 

@@ -33,10 +33,13 @@ def _exact_cast(column, dtype) -> np.ndarray:
     """``column`` as a ``dtype`` array: a read-only array of that dtype as
     it is, anything else as a new array, so that a caller's writable array
     is never shared; ValueError if the cast would change a value (one out
-    of range, or a fraction), where numpy would wrap it."""
+    of range, a fraction, or any complex value), where numpy would wrap it
+    or warn."""
     given = np.asarray(column)
     if given.dtype == dtype:  # no value can change
         return given.copy() if given.flags.writeable else given
+    if given.dtype.kind == "c":  # astype would drop the imaginary parts
+        raise ValueError(f"complex column does not fit {np.dtype(dtype)}")
     try:
         with np.errstate(invalid="ignore"):
             cast = given.astype(dtype)
@@ -106,17 +109,6 @@ class EventLog:
         where = np.full(len(self.ids) + 1, -1, dtype=np.int32)
         where[:-1] = [index.get(x, -1) for x in self.ids]  # code -1 stays -1
         return where[self.actor], where[self.target]
-
-    def rows(self):
-        """``(kind, actor, ts, target or None, hashtags)`` of each event, in
-        order: a view derived from the columns, not stored."""
-        ids, ptr = self.ids + (None,), self.tag_ptr.tolist()
-        tags = [self.tags[j] for j in self.tag_ids.tolist()]
-        columns = (a.tolist() for a in (self.kind, self.actor, self.ts,
-                                         self.target))
-        for i, (kind, actor, ts, target) in enumerate(zip(*columns)):
-            yield (EVENT_KINDS[kind], ids[actor], ts, ids[target],
-                   tuple(tags[ptr[i]:ptr[i + 1]]))
 
 
 @dataclass(frozen=True, eq=False)

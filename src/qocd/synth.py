@@ -25,9 +25,9 @@ from .ingest import (EVENT_KINDS, MENTION, POST, RETWEET, EventLog,
 
 # the paper's scale: the follow and shares matrices take 1 B per node pair each
 MAX_NODES = 10_000
-# expected events; synth peaks at about 53 B each (traced allocations, 828k
-# events), so 2^26 take about 3.6 GB, and the defaults at 10^4 nodes and
-# T = 9072 expect 4.1e7
+# expected events; generate peaks at about 52 B each (tracemalloc over
+# generate(SynthConfig(seed=7)): 35.3 MiB for 715,912 events), so 2^26 take
+# about 3.5 GB, and the defaults at 10^4 nodes and T = 9072 expect 4.1e7
 MAX_EVENTS = 2**26
 _SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw slice
 COUNTS = ("nodes", "communities", "bins", "bin_width", "influence_in_degree",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .activity import ActivityMatrix
 from .infotheory import pairwise_transfer_entropy
-from .ingest import MENTION, RETWEET, EventLog, StructuralGraph
+from .ingest import MENTION, RETWEET, EventLog, StructuralGraph, _exact_cast
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class WeightedDigraph:
     """A structural graph plus one weight per edge under a named scheme.
 
     ``values[i]`` is the weight of edge i of ``graph``: a read-only float64
-    array in the graph's edge order.
+    array in the graph's edge order, cast as ``EventLog`` columns are.
     """
 
     graph: StructuralGraph
@@ -43,7 +43,7 @@ class WeightedDigraph:
     scheme: str
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
+        values = _exact_cast(self.values, np.float64)
         if values.shape != self.graph.src.shape:
             raise ValueError(f"{values.size} weights for "
                              f"{len(self.graph.src)} edges")

@@ -685,15 +685,28 @@ def _loop_interaction_events(rng, kind, actor, pool_intra, pool_all, rate,
     return out
 
 
+def event_rows(log) -> list[tuple]:
+    """``(kind, actor, ts, target or None, hashtags)`` of each event of an
+    ``EventLog``, in order, read off its columns one event at a time."""
+    kinds = ("post", "mention", "retweet")
+    ptr, tag_ids = log.tag_ptr.tolist(), log.tag_ids.tolist()
+    rows = []
+    for i, (kind, actor, ts, target) in enumerate(zip(
+            log.kind.tolist(), log.actor.tolist(), log.ts.tolist(),
+            log.target.tolist())):
+        hashtags = tuple(log.tags[j] for j in tag_ids[ptr[i]:ptr[i + 1]])
+        rows.append((kinds[kind], log.ids[actor], ts,
+                     None if target < 0 else log.ids[target], hashtags))
+    return rows
+
+
 def json_dumps_events_jsonl(log, path) -> None:
     """The event-log writer as it stood before its lines were built from
     pre-encoded pieces: one ``json.dumps`` of a dict per event."""
     import json
 
-    from qocd.ingest import open_output
-
-    with open_output(path) as fh:
-        for kind, actor, ts, target, hashtags in log.rows():
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for kind, actor, ts, target, hashtags in event_rows(log):
             rec: dict = {"kind": kind, "actor": actor, "ts": ts}
             if target is not None:
                 rec["target"] = target

@@ -144,6 +144,8 @@ class TestActivityMatrix:
             ActivityMatrix(("a",), np.array([0, 1]), 600, 0)
         with pytest.raises(ValueError, match="0 or 1"):
             ActivityMatrix(("a",), np.array([[0, 2]]), 600, 0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ActivityMatrix(("a",), np.array([[1 + 0j, 0]]), 600, 0)
         with pytest.raises(ValueError, match="2 rows for 1 nodes"):
             ActivityMatrix(("a",), np.zeros((2, 3)), 600, 0)
 

@@ -14,6 +14,7 @@ from qocd.activity import batch_coarsen, write_series_csv
 from qocd.cli import main, read_weight_table
 from qocd.ingest import read_events, read_follow_edges
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SYNTH_ARGS = ["--nodes", "24", "--communities", "3", "--bins", "150",
               "--p-in", "0.5", "--p-out", "0.05", "--rho", "0.1",
               "--epsilon", "0.3", "--seed", "13"]
@@ -255,6 +256,13 @@ def test_weight_table_rejects_ids_a_covering_file_cannot_hold(tmp_path, capsys,
     assert not (tmp_path / "covering.txt").exists()
 
 
+def child_env(**extra: str) -> dict:
+    """The environment of a child python that imports qocd from ``src``."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _tree_bytes(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -263,15 +271,10 @@ def _tree_bytes(root: Path) -> dict:
 def test_pipeline_bytes_ignore_the_hash_seed(tmp_path):
     # on this dataset, summing detector weights in set order gave another
     # mention covering under PYTHONHASHSEED=0 than under 1
-    src = Path(qocd.__file__).resolve().parent.parent
-
-    path = os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-
     def run(hash_seed, *args):
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
         subprocess.run([sys.executable, "-m", "qocd.cli", *map(str, args)],
-                       env=env, check=True, capture_output=True)
+                       env=child_env(PYTHONHASHSEED=str(hash_seed)),
+                       check=True, capture_output=True)
 
     data = tmp_path / "data"
     run(0, "synth", "-o", data, "--seed", "4", "--nodes", "40",
@@ -290,6 +293,7 @@ def test_usage_errors_exit_one():
     assert main(["--bogus"]) == 1
     assert main(["synth", "--no-such-flag", "x"]) == 1
     assert main([]) == 1
+    assert main(["ingest", "--events", "x", "-o", "o"]) == 1  # -i names it
 
 
 @pytest.mark.parametrize("flags", [
@@ -308,6 +312,7 @@ def test_usage_errors_exit_one():
     ["--threads", "0"],
     ["--alpha", "inf"],
     ["--hist-bins", "10001"],
+    ["--bin-width", "9223372036854775808"],  # 2**63
 ])
 def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -326,6 +331,8 @@ def test_pipeline_bad_numeric_flags_exit_one(dataset, tmp_path, capsys, flags):
     ["ingest", "--threshold", "-5"],
     ["weight", "--scheme", "te", "--threads", "0"],
     ["edges", "--hist-bins", "10001"],
+    ["synth", "--bin-width", "9223372036854775808"],  # 2**63
+    ["weight", "--scheme", "te", "--bin-width", "9223372036854775808"],
 ])
 def test_bad_bin_width_and_lags_exit_one(dataset, ingested, tmp_path, command):
     out = tmp_path / "out"
@@ -670,7 +677,7 @@ def test_pipeline_partitions_each_covering_once(dataset, tmp_path,
 
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "qocd.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pipeline" in proc.stdout
 
@@ -679,7 +686,7 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, qocd.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True)
+        env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

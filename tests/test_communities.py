@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qocd.communities import (Covering, FitnessParams, covering_stats,
-                              detect_communities, read_covering,
-                              write_covering)
+from qocd.communities import (Covering, covering_stats, detect_communities,
+                              read_covering, write_covering)
 from qocd.weighting import WeightedDigraph
 
 from oracles import loop_detect_communities
@@ -223,17 +222,18 @@ class TestDetect:
                                           frozenset("abcdefg")}
 
     def test_alpha_must_be_positive(self):
+        wg = wdg(triangle_weights())
         with pytest.raises(ValueError):
-            FitnessParams(alpha=0.0)
+            detect_communities(wg, alpha=0.0)
         for alpha in (math.nan, math.inf):
             with pytest.raises(ValueError, match="alpha must be positive"):
-                FitnessParams(alpha=alpha)
+                detect_communities(wg, alpha=alpha)
 
     def test_higher_alpha_never_grows_communities(self):
         weights = triangle_weights()
         weights[("c", "d")] = 0.4
-        loose = detect_communities(wdg(weights), FitnessParams(alpha=0.8))
-        tight = detect_communities(wdg(weights), FitnessParams(alpha=1.5))
+        loose = detect_communities(wdg(weights), alpha=0.8)
+        tight = detect_communities(wdg(weights), alpha=1.5)
         assert max(len(c) for c in tight.communities) <= \
             max(len(c) for c in loose.communities)
 
@@ -273,10 +273,10 @@ def test_detector_matches_the_loop_oracle(alpha):
         wg = random_weights(seed)
         expected = loop_detect_communities(wg, alpha)
         if (wg.values > 0).any():
-            found = detect_communities(wg, FitnessParams(alpha))
+            found = detect_communities(wg, alpha)
         else:
             with pytest.warns(UserWarning, match="no positive-weight"):
-                found = detect_communities(wg, FitnessParams(alpha))
+                found = detect_communities(wg, alpha)
         assert found.communities == expected, seed
         grown += sum(len(c) > 3 for c in expected)
     assert grown > 50  # enough multi-step growth to exercise the link cache

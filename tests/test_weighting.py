@@ -207,6 +207,16 @@ def test_negative_weights_rejected():
         WeightedDigraph.from_mapping({("a", "b"): -0.1}, scheme="bad")
 
 
+def test_complex_weights_rejected():
+    # numpy would drop a zero imaginary part with a warning, or raise
+    # TypeError on a Python complex
+    with pytest.raises(ValueError, match="complex"):
+        WeightedDigraph.from_mapping({("a", "b"): 1 + 0j}, scheme="bad")
+    with pytest.raises(ValueError, match="complex"):
+        WeightedDigraph(StructuralGraph.from_edges([("a", "b")]),
+                        np.array([1 + 0j]), "bad")
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_weights_rejected(bad):
     # an infinite weight made every fitness it touched NaN in detection
