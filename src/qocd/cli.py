@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _bounded(convert, low, strict: bool = False, high=math.inf):
     """An argparse type: ``convert(text)``, finite, at least ``low`` (or
     above it, if ``strict``) and at most ``high``, so a bad flag exits 1
-    before any stage runs."""
+    before any stage runs. Exact comparisons take an int of any size."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -60,7 +60,7 @@ def _bounded(convert, low, strict: bool = False, high=math.inf):
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
         if (not (value > low if strict else value >= low) or value > high
-                or not math.isfinite(value)):
+                or not value < math.inf):
             upper = f" and <= {high}" if high < math.inf else ""
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}{upper}, got {value}")
@@ -406,7 +406,7 @@ def build_parser() -> _Parser:
                      description="Question-oriented weighted networks and "
                                  "overlapping-community analytics")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                parser_class=_Parser)
+                                parser_class=_Parser, required=True)
 
     # every default lives in SynthConfig; only given flags reach it
     p = sub.add_parser("synth", help="generate a synthetic dataset",
@@ -504,9 +504,6 @@ def main(argv=None) -> int:
                          f"--max-lag {args.max_lag}")
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return int(exc.code or 0)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, csv.Error) as exc:

@@ -44,12 +44,10 @@ def partition_edges(wg: WeightedDigraph, covering: Covering) -> np.ndarray:
 
 def weight_ccdf(values) -> tuple[tuple[float, float], ...]:
     """(w, fraction of values strictly greater than w) per distinct value."""
-    arr = np.sort(np.asarray(list(values), dtype=np.float64))
+    arr = np.asarray(values, dtype=np.float64)
     n = len(arr)
-    if n == 0:
-        return ()
-    distinct = np.unique(arr)
-    above = n - np.searchsorted(arr, distinct, side="right")
+    distinct, counts = np.unique(arr, return_counts=True)
+    above = n - np.cumsum(counts)
     return tuple((w, count / n)
                  for w, count in zip(distinct.tolist(), above.tolist()))
 

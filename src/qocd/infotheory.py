@@ -62,11 +62,6 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
 MAX_LAG = 12  # a joint code has 2k+1 <= 25 bits; its bincount is 256 MiB at 12
 
 
-def _check_lag(k: int, t_len: int) -> None:
-    if not 1 <= k <= MAX_LAG or k >= t_len:
-        raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
-
-
 def _window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     """Pack each (k+1)-bit window along the last axis into an int32, one per
     sample: x_t at bit 0 and x_{t-j} at bit j, so ``w >> 1`` is the k-bit
@@ -97,19 +92,7 @@ def _entropies(codes: np.ndarray, n: int):
     return _entropy(np.bincount(codes), n), _entropy(np.bincount(codes >> 1), n)
 
 
-def _te(target_terms, w_x: np.ndarray, w_y: np.ndarray, k: int, n: int,
-        truncate: bool) -> float:
-    """TE from window codes ``w_y`` to ``w_x``, given ``_entropies(w_x, n)``.
-    The joint code puts y_past above x's window, so its ``_entropies`` are
-    H[x_t, x_past, y_past] and H[x_past, y_past]."""
-    (h_xfp, a_xfp), (h_xp, a_xp) = target_terms
-    (h_xfyp, a_xfyp), (h_xyp, a_xyp) = _entropies(
-        ((w_y >> 1) << (k + 1)) + w_x, n)
-    raw = (h_xfp - h_xp - h_xfyp + h_xyp
-           + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
-    if truncate and raw < 0.0:
-        return 0.0
-    return raw
+PAIR = StructuralGraph(("x", "y"), [1], [0])  # y -> x: y is the source
 
 
 def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
@@ -118,18 +101,16 @@ def transfer_entropy(x, y, k: int, truncate: bool = True) -> float:
     x is the target (follower) series and y the source (followee) series.
     With ``truncate`` the estimate is floored at zero; otherwise the raw,
     possibly negative adjusted value is returned. The pair must be 0/1
-    series of one length, as ``ActivityMatrix`` rows are.
+    series of one length, as ``ActivityMatrix`` rows are. This is the
+    one-edge case of ``pairwise_transfer_entropy`` on ``PAIR``: one kernel.
     """
     xa, ya = np.asarray(x), np.asarray(y)
     if xa.ndim != 1 or ya.ndim != 1:
         raise ValueError("series must be one-dimensional")
     if len(xa) != len(ya):
         raise ValueError(f"series lengths differ: {len(xa)} vs {len(ya)}")
-    bits = ActivityMatrix(("x", "y"), np.stack([xa, ya]), 1, 0).bits
-    _check_lag(k, len(xa))
-    n = len(xa) - k
-    w_x, w_y = _window_codes(bits, k)
-    return _te(_entropies(w_x, n), w_x, w_y, k, n, truncate)
+    pair = ActivityMatrix(PAIR.nodes, np.stack([xa, ya]), 1, 0)
+    return float(pairwise_transfer_entropy(PAIR, pair, k, truncate)[0])
 
 
 def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
@@ -146,13 +127,22 @@ def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
             f"activity rows differ from the graph nodes at {stray[0]!r}")
     if not graph.nodes:
         return np.zeros(0)
-    _check_lag(k, activity.bits.shape[1])
-    n = activity.bits.shape[1] - k
+    t_len = activity.bits.shape[1]
+    if not 1 <= k <= MAX_LAG or k >= t_len:
+        raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
+    n = t_len - k
     windows = _window_codes(activity.bits, k)
     target_terms = {}
     table = np.empty(len(graph.src))
     for i, (y, x) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
         if x not in target_terms:
             target_terms[x] = _entropies(windows[x], n)
-        table[i] = _te(target_terms[x], windows[x], windows[y], k, n, truncate)
+        (h_xfp, a_xfp), (h_xp, a_xp) = target_terms[x]
+        # y_past above x's window: H[x_t, x_past, y_past], H[x_past, y_past]
+        (h_xfyp, a_xfyp), (h_xyp, a_xyp) = _entropies(
+            ((windows[y] >> 1) << (k + 1)) + windows[x], n)
+        table[i] = (h_xfp - h_xp - h_xfyp + h_xyp
+                    + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
+    if truncate:
+        table[table < 0.0] = 0.0
     return table

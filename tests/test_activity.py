@@ -181,3 +181,10 @@ def test_series_csv_dump(tmp_path):
     assert header == {"bin_width": 600, "origin": 0, "length": 2}
     sidecar = json.loads((tmp_path / "series.json").read_text())
     assert sidecar == header
+
+
+def test_series_csv_dump_of_an_empty_matrix(tmp_path):
+    empty = ActivityMatrix((), np.zeros((0, 0), dtype=np.uint8), 600, 0)
+    header = write_series_csv(empty, tmp_path / "series.csv")
+    assert header == {"bin_width": None, "origin": None, "length": 0}
+    assert (tmp_path / "series.csv").read_text() == ""

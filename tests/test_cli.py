@@ -289,10 +289,13 @@ def test_pipeline_bytes_ignore_the_hash_seed(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     assert main(["--bogus"]) == 1
     assert main(["synth", "--no-such-flag", "x"]) == 1
+    capsys.readouterr()
     assert main([]) == 1
+    assert ("qocd: error: the following arguments are required: COMMAND"
+            in capsys.readouterr().err)
     assert main(["ingest", "--events", "x", "-o", "o"]) == 1  # -i names it
 
 
@@ -525,17 +528,30 @@ MUTUAL = "followee,follower\na,b\nb,a\n"
      "no users survive the activity filter"),
     ("detect", {"weights_x.csv": "source,target,weight\na,b,1\nb,a\n"},
      "bad weight row"),
-], ids=["empty-follows", "nobody-active", "short-weight-row"])
+    ("pipeline", {"follows.csv": MUTUAL, "events.jsonl": ""},
+     "cannot infer a window from an empty log"),
+], ids=["empty-follows", "nobody-active", "short-weight-row", "empty-log"])
 def test_bad_input_files_exit_two_before_output(tmp_path, capsys, command,
                                                 files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "out"
     argv = {"ingest": ["ingest", "-i", str(tmp_path), "-o", str(out)],
+            "pipeline": ["pipeline", "-i", str(tmp_path), "-o", str(out),
+                         "--threshold", "0"],
             "detect": ["detect", "--weights", str(tmp_path / "weights_x.csv"),
                        "-o", str(out)]}[command]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threshold_past_the_float_range_exits_two(dataset, tmp_path, capsys):
+    # math.isfinite raised OverflowError on it, a traceback past argparse
+    out = tmp_path / "out"
+    assert main(["ingest", "-i", str(dataset), "-o", str(out),
+                 "--threshold", "1" + "0" * 400]) == 2
+    assert "no users survive the activity filter" in capsys.readouterr().err
     assert not out.exists()
 
 

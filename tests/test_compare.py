@@ -155,6 +155,10 @@ class TestNmi:
         with pytest.raises(ValueError):
             nmi(cov("abc"), cov("abd"))
 
+    def test_empty_coverings_are_an_error(self):
+        with pytest.raises(ValueError, match="coverings must be non-empty"):
+            nmi(cov(""), cov(""))
+
 
 class TestSparseNmiAgainstDenseOracle:
     def test_random_pairs_are_bit_identical(self):

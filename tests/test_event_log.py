@@ -162,6 +162,8 @@ def test_valid_columns_build_a_log():
     {"kind": [256, 1]},                      # the same kind as a list
     {"actor": [0.5, 1]},                     # a fractional code
     {"ts": np.array([5, 6], dtype=complex)},  # numpy would warn, drop 0j
+    {"ts": np.array([2**70, 6], dtype=object)},  # astype raises OverflowError
+    {"ts": np.array([None, 6])},             # astype raises TypeError
 ])
 def test_malformed_columns_are_rejected(changes):
     with pytest.raises(ValueError):

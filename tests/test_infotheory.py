@@ -115,6 +115,10 @@ class TestTransferEntropy:
         with pytest.raises(ValueError, match="one-dimensional"):
             transfer_entropy(np.zeros((2, 5), dtype=int), np.zeros(5, dtype=int), 1)
 
+    def test_rejects_series_of_different_lengths(self):
+        with pytest.raises(ValueError, match="series lengths differ: 3 vs 2"):
+            transfer_entropy([0, 1, 0], [0, 1], 1)
+
     def test_lag_above_the_bound_is_rejected(self):
         # at lag 40 a joint-term table could need 2^81 counters; constant
         # series keep every code 0, so a missed check costs no memory
@@ -162,6 +166,11 @@ class TestPairwise:
         table = pairwise_transfer_entropy(
             graph, activity_of({"u": np.zeros(500, dtype=int), "f": x}), 1)
         assert table.tolist() == [0.0]
+
+    def test_empty_graph_gives_an_empty_table(self):
+        graph = StructuralGraph((), [], [])
+        activity = ActivityMatrix((), np.zeros((0, 0), dtype=np.uint8), 600, 0)
+        assert pairwise_transfer_entropy(graph, activity, 1).shape == (0,)
 
     def test_missing_series_names_the_node(self):
         graph = StructuralGraph.from_edges([("u", "f")])

@@ -139,6 +139,10 @@ def test_infeasible_configs_are_rejected():
         SynthConfig(overlap_fraction=1.5).validate()
     with pytest.raises(ValueError):
         SynthConfig(cross_influencers=2, cross_span=8, communities=8).validate()
+    with pytest.raises(ValueError, match="inside the bin range"):
+        SynthConfig(influence_lag=9072).validate()
+    with pytest.raises(ValueError, match="one cross influencer per community"):
+        SynthConfig(cross_influencers=9).validate()
 
 
 @pytest.mark.parametrize("field, params", [

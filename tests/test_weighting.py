@@ -207,6 +207,12 @@ def test_negative_weights_rejected():
         WeightedDigraph.from_mapping({("a", "b"): -0.1}, scheme="bad")
 
 
+def test_one_weight_per_edge():
+    with pytest.raises(ValueError, match="2 weights for 1 edges"):
+        WeightedDigraph(StructuralGraph.from_edges([("a", "b")]), [1.0, 2.0],
+                        "bad")
+
+
 def test_complex_weights_rejected():
     # numpy would drop a zero imaginary part with a warning, or raise
     # TypeError on a Python complex
