@@ -40,15 +40,6 @@ SCHEMES = ("structural", "mention", "retweet", "mention_retweet", "hashtag",
            "te")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits 1 (not 2) on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def _bounded(convert, low, strict: bool = False, high=math.inf):
     """An argparse type: ``convert(text)``, finite, at least ``low`` (or
     above it, if ``strict``) and at most ``high``, so a bad flag exits 1
@@ -105,7 +96,7 @@ def read_weight_table(path: Path) -> WeightedDigraph:
                 raise ValueError(f"repeated edge in {path} at line "
                                  f"{reader.line_num}: {row!r}")
             try:
-                weight = float(row[2])
+                weight = float(row[2]) + 0.0  # -0 reads as 0
             except ValueError:
                 weight = math.nan
             if not 0 <= weight < math.inf:  # also rejects NaN
@@ -401,12 +392,12 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qocd",
-                     description="Question-oriented weighted networks and "
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qocd", description="Question-oriented weighted networks and "
                                  "overlapping-community analytics")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                parser_class=_Parser, required=True)
+                                required=True)
 
     # every default lives in SynthConfig; only given flags reach it
     p = sub.add_parser("synth", help="generate a synthetic dataset",
@@ -502,8 +493,8 @@ def main(argv=None) -> int:
         if args.command == "pipeline" and args.featured_lag > args.max_lag:
             parser.error(f"--featured-lag {args.featured_lag} exceeds "
                          f"--max-lag {args.max_lag}")
-    except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help exits 0; usage errors exit 2, here 1
+        return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, csv.Error) as exc:

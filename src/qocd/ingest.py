@@ -230,17 +230,17 @@ def _interned(codes: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
 
 # One event line as write_events_jsonl writes it: keys in sorted order,
 # ", " and ": " separators, strings with no escape or control character,
-# and a ts with no sign, fraction or leading zero. Only the end of the
-# pattern matches a line end, so each match lies within one line. split()
-# yields the text before each match, then its actor, hashtags, kind,
-# target and ts.
+# a target on mentions and retweets only, and a ts of 0 or of 1-18 digits
+# with no leading zero (below 2**63, so strtoll never clamps). Each match
+# ends at a line end and lies within one line. split() yields the text
+# before each match, then its actor, hashtags, kind (None: post), target, ts.
 _CHAR = r'[^"\\\x00-\x1f]'  # a string character that needs no escape
 _CANONICAL = re.compile(
     rf'\{{"actor": "({_CHAR}+)"'
     rf'(?:, "hashtags": \[((?:"{_CHAR}*"(?:, "{_CHAR}*")*)?)\])?'
-    rf', "kind": "(post|mention|retweet)"(?:, "target": "({_CHAR}+)")?'
-    r', "ts": (0|[1-9][0-9]{0,18})\}(?:\n|\Z)')
-_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+    rf', "kind": "(?:post|(mention|retweet)", "target": "({_CHAR}+))"'
+    r', "ts": (0|[1-9][0-9]{0,17})\}(?:\n|\Z)')
+_KIND_CODES = {None: POST, "mention": MENTION, "retweet": RETWEET}
 # characters of whole lines that readlines reads at once; a batch's split
 # strings take several times its size, so it stays small
 _BLOCK = 1 << 18
@@ -303,9 +303,9 @@ class _Columns:
         each line is one match of ``_CANONICAL`` and :func:`_parse_record`
         would accept each one; else append nothing and return False.
 
-        A mention's or retweet's hashtags are ignored, as there. Each
-        distinct hashtags text is decoded once per parse, and a batch
-        codes no id, tag or text until every check has passed."""
+        A mention's or retweet's hashtags are ignored, as there; a post's
+        go through :func:`_tags`, each distinct text once per parse. A
+        batch codes no id, tag or text until every check has passed."""
         parts = _CANONICAL.split("".join(lines))
         # one match per line: a stream split at \r alone may pass a \n in one
         if len(parts) != 6 * len(lines) + 1 or any(parts[::6]):
@@ -314,16 +314,7 @@ class _Columns:
                                                     for i in range(1, 6))
         kind = array("B", map(_KIND_CODES.__getitem__, kinds))
         ts = np.fromstring(" ".join(stamps), dtype=np.int64, sep=" ")
-        # strtoll clamps a ts of 2**63 or more to the int64 maximum, so a
-        # batch holding that maximum goes to json.loads, which tells them apart
-        if ts.max() == np.iinfo(np.int64).max:
-            return False
-        post = (np.asarray(kind) == POST).tolist()
-        post_tags = list(compress(hashtags, post))
-        # a post has no target; a mention or a retweet has one
-        if any(compress(targets, post)) or \
-                targets.count(None) != len(post_tags):
-            return False
+        post_tags = [text for text, k in zip(hashtags, kinds) if k is None]
         coded = self.coded
         new = {text: _tags(json.loads("[" + text + "]"))
                for text in dict.fromkeys(post_tags) if text not in coded}

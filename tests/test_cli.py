@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -297,6 +298,13 @@ def test_usage_errors_exit_one(capsys):
     assert ("qocd: error: the following arguments are required: COMMAND"
             in capsys.readouterr().err)
     assert main(["ingest", "--events", "x", "-o", "o"]) == 1  # -i names it
+    capsys.readouterr()
+    assert main(["pipeline", "-i", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qocd pipeline")
+    assert ("qocd pipeline: error: the following arguments are required: "
+            "-o/--output" in err)
+    assert main(["--help"]) == 0
 
 
 @pytest.mark.parametrize("flags", [
@@ -568,6 +576,20 @@ def test_infinite_weight_exits_two(tmp_path, capsys, command):
     assert main(argv) == 2
     assert "weights must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_zero_weight_reads_as_zero(tmp_path):
+    table = tmp_path / "weights_x.csv"
+    table.write_text("source,target,weight\na,b,-0\nb,a,0\na,c,1\nc,a,0.5\n")
+    covering = tmp_path / "covering_x.txt"
+    covering.write_text("a b\n")
+    out = tmp_path / "out"
+    assert main(["edges", "--weights", str(table), "--covering", str(covering),
+                 "-o", str(out)]) == 0
+    for name in ("summary.csv", "summary.json", "ccdf_intra.csv",
+                 "ccdf_inter.csv"):
+        # a -0 number, not the exponent of a figure such as 1e-05
+        assert not re.search(r"(?<!\w)-0\b", (out / name).read_text()), name
 
 
 @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "-1", "x"])

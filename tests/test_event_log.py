@@ -218,7 +218,8 @@ event_tags = st.one_of(plain_ids, plain_ids,
                        st.text(st.sampled_from("aB# é"), max_size=3))
 # a ts of 2**63 or more does not fit in int64
 stamps = st.one_of(st.integers(0, 30), st.integers(0, 10 ** 20),
-                   st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 19 - 1]))
+                   st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 19 - 1,
+                                    10 ** 18 - 1, 10 ** 18]))
 records = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("post"), "actor": event_ids, "ts": stamps},
