@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (POST, RETWEET, EventLog, StructuralGraph, _exact_cast,
-                     write_csv, write_json)
+                     _sorted_names, write_csv, write_json)
 
 # nodes x bins: 1 GiB of uint8 activity and 4 GiB of int32 TE window codes
 MAX_CELLS = 2**30
@@ -38,9 +38,7 @@ class ActivityMatrix:
     origin: int
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
-        if list(nodes) != sorted(set(nodes)):
-            raise ValueError("activity nodes must be sorted and unique")
+        nodes = _sorted_names(self.nodes, "activity nodes")
         bits = np.asarray(self.bits)
         if bits.ndim != 2:
             raise ValueError("activity bits must be a 2-D node x bin matrix")
@@ -53,7 +51,6 @@ class ActivityMatrix:
             bits = None
         if bits is None or bits.max(initial=0) > 1:
             raise ValueError("activity values must be 0 or 1")
-        bits.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "bits", bits)
 

@@ -28,8 +28,9 @@ from .compare import nmi_matrix
 from .edgestats import conditional_weights, partition_edges, size_ccdf
 from .infotheory import MAX_LAG
 from .ingest import (check_ids, count_information_events, filter_active,
-                     giant_scc, read_events, read_follow_edges, write_csv,
-                     write_events_jsonl, write_follow_edges, write_json)
+                     giant_scc, open_input, read_events, read_follow_edges,
+                     write_csv, write_events_jsonl, write_follow_edges,
+                     write_json)
 from .synth import SynthConfig, generate, write_influence_edges
 from .weighting import (WeightedDigraph, hashtag_similarity_weights,
                         hashtag_tfidf_vectors, mention_retweet_weights,
@@ -84,7 +85,7 @@ def write_weight_table(wg: WeightedDigraph, path: Path, meta: dict) -> None:
 
 def read_weight_table(path: Path) -> WeightedDigraph:
     weights = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["source", "target", "weight"]:
@@ -96,7 +97,7 @@ def read_weight_table(path: Path) -> WeightedDigraph:
                 raise ValueError(f"repeated edge in {path} at line "
                                  f"{reader.line_num}: {row!r}")
             try:
-                weight = float(row[2]) + 0.0  # -0 reads as 0
+                weight = float(row[2])
             except ValueError:
                 weight = math.nan
             if not 0 <= weight < math.inf:  # also rejects NaN
@@ -187,7 +188,7 @@ def _run_weights(log, graph, args, schemes, lags, series: bool = False):
     Every sidecar records the bin width and whether retweets count as
     activity; TE sidecars add the lag, the hashtag one the tf-idf base.
     """
-    retweets = not args.no_retweet_activity
+    retweets = args.retweets_count_as_activity
     meta = {"bin_width": args.bin_width, "retweets_count_as_activity": retweets}
     built: list[tuple[WeightedDigraph, dict]] = []
     if "structural" in schemes:
@@ -372,13 +373,8 @@ def cmd_pipeline(args) -> int:
         "command": "pipeline",
         # threads is deliberately absent: the flag has no effect, so runs
         # differing only in thread count stay byte-identical
-        "flags": {
-            "threshold": args.threshold, "bin_width": args.bin_width,
-            "max_lag": args.max_lag, "featured_lag": args.featured_lag,
-            "alpha": args.alpha, "hist_bins": args.hist_bins,
-            "tfidf_log_base": args.tfidf_log_base,
-            "retweets_count_as_activity": not args.no_retweet_activity,
-        },
+        "flags": {name: value for name, value in vars(args).items() if name
+                  not in ("command", "func", "input", "output", "threads")},
         "inputs": {name: _sha256(indir / name)
                    for name in ("events.jsonl", "follows.csv")},
     }
@@ -424,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     weighting.add_argument("--bin-width", type=_bin_width, default=600)
     weighting.add_argument("--threads", type=_positive_int, default=1,
                            help="accepted for compatibility; has no effect")
-    weighting.add_argument("--no-retweet-activity", action="store_true",
+    weighting.add_argument("--no-retweet-activity", action="store_false",
+                           dest="retweets_count_as_activity",
                            help="retweets do not mark the actor as active")
     weighting.add_argument("--tfidf-log-base", choices=["e", "2"], default="e")
     alpha.add_argument("--alpha", type=_positive_float, default=1.0)

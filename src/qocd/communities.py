@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import open_output
+from .ingest import open_input, open_output
 from .weighting import WeightedDigraph
 
 
@@ -103,7 +103,7 @@ def read_covering(path, universe: Iterable[str] | None = None) -> Covering:
     outside it is an error.
     """
     lines = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):

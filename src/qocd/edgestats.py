@@ -73,8 +73,7 @@ def conditional_weights(wg: WeightedDigraph, classes: np.ndarray,
     summary = {"scheme": wg.scheme, "classes": {}}
     for code, name in enumerate(EDGE_CLASSES):
         ws = wg.values[classes == code]
-        # stable, so tied weights such as -0.0 and 0.0 keep edge order
-        ordered = np.sort(ws, kind="stable")
+        ordered = np.sort(ws)
         entry = {"count": len(ws), "median": ordered[(len(ws) - 1) // 2].item()
                  if len(ws) else None}
         if len(ws):

@@ -5,9 +5,9 @@ writes and ``parse_events`` reads, follow relations as a
 ``followee,follower`` CSV. Follow edges are stored followee -> follower, the
 direction information travels. Filtering keeps users with enough incoming
 and outgoing information events and then restricts to the giant strongly
-connected component. The module also holds the one output format:
-``open_output``, ``write_csv`` and ``write_json`` open, quote and format
-every file qocd writes.
+connected component. The module also holds the one input opener,
+``open_input``, and the one output format: ``open_output``, ``write_csv``
+and ``write_json`` open, quote and format every file qocd writes.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import csv
 import json
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -30,24 +31,34 @@ _COLUMNS = {"kind": np.uint8, "actor": np.int32, "target": np.int32,
 
 
 def _exact_cast(column, dtype) -> np.ndarray:
-    """``column`` as a ``dtype`` array: a read-only array of that dtype as
-    it is, anything else as a new array, so that a caller's writable array
-    is never shared; ValueError if the cast would change a value (one out
-    of range, a fraction, or any complex value), where numpy would wrap it
-    or warn."""
+    """``column`` as a read-only ``dtype`` array: a read-only array of that
+    dtype as it is, anything else as a new array, so that a caller's
+    writable array is never shared; ValueError if the cast would change a
+    value (one out of range, a fraction, or any complex value), where numpy
+    would wrap it or warn."""
     given = np.asarray(column)
     if given.dtype == dtype:  # no value can change
-        return given.copy() if given.flags.writeable else given
-    if given.dtype.kind == "c":  # astype would drop the imaginary parts
+        cast = given.copy() if given.flags.writeable else given
+    elif given.dtype.kind == "c":  # astype would drop the imaginary parts
         raise ValueError(f"complex column does not fit {np.dtype(dtype)}")
-    try:
-        with np.errstate(invalid="ignore"):
-            cast = given.astype(dtype)
-    except (OverflowError, TypeError) as exc:
-        raise ValueError(f"column does not fit {np.dtype(dtype)}") from exc
-    if (cast != given).any():
-        raise ValueError(f"column values do not fit {np.dtype(dtype)}")
+    else:
+        try:
+            with np.errstate(invalid="ignore"):
+                cast = given.astype(dtype)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"column does not fit {np.dtype(dtype)}") from exc
+        if (cast != given).any():
+            raise ValueError(f"column values do not fit {np.dtype(dtype)}")
+    cast.flags.writeable = False
     return cast
+
+
+def _sorted_names(names: Iterable[str], what: str) -> tuple[str, ...]:
+    """``names`` as a tuple; ValueError unless sorted and unique."""
+    names = tuple(names)
+    if list(names) != sorted(set(names)):
+        raise ValueError(f"{what} must be sorted and unique")
+    return names
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +85,8 @@ class EventLog:
 
     def __post_init__(self):
         for name in ("ids", "tags"):
-            names = tuple(getattr(self, name))
-            if list(names) != sorted(set(names)):
-                raise ValueError(f"event log {name} must be sorted and unique")
-            object.__setattr__(self, name, names)
+            object.__setattr__(self, name, _sorted_names(
+                getattr(self, name), f"event log {name}"))
         cols = {name: _exact_cast(getattr(self, name), dtype)
                 for name, dtype in _COLUMNS.items()}
         kind, actor, target, ts, ptr, tag_ids = cols.values()
@@ -96,7 +105,6 @@ class EventLog:
             raise ValueError("event codes must lie in their tables, ts >= 0, "
                              "and only posts may lack a target or carry tags")
         for name, a in cols.items():
-            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
@@ -129,9 +137,7 @@ class StructuralGraph:
     dst: np.ndarray
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
-        if list(nodes) != sorted(set(nodes)):
-            raise ValueError("graph nodes must be sorted and unique")
+        nodes = _sorted_names(self.nodes, "graph nodes")
         src, dst = (_exact_cast(a, np.int32) for a in (self.src, self.dst))
         if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("src and dst must be 1-D arrays of equal length")
@@ -145,7 +151,6 @@ class StructuralGraph:
         if (np.diff(keys) <= 0).any():
             raise ValueError("edges must be sorted by (src, dst) without "
                              "duplicates")
-        src.flags.writeable = dst.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
@@ -394,7 +399,7 @@ def parse_events(stream: IO[str]) -> EventLog:
 
 
 def read_events(path) -> EventLog:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return parse_events(fh)
 
 
@@ -414,7 +419,7 @@ def read_follow_edges(path) -> StructuralGraph:
     Rows are deduplicated; self-follow rows and short rows are ignored. Ids
     are stripped and must pass :func:`check_ids`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -425,6 +430,23 @@ def read_follow_edges(path) -> StructuralGraph:
     graph = StructuralGraph.from_edges(edges)
     check_ids(graph.nodes)
     return graph
+
+
+@contextmanager
+def open_input(path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open ``path`` for reading as UTF-8 text, the one way qocd opens an
+    input file; a byte that is not UTF-8 raises ValueError naming its line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:  # its position counts from a chunk start
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"{path} line {line} is not UTF-8") from None
+            raise  # the file changed after the failed read
 
 
 def open_output(path) -> IO[str]:

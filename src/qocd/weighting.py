@@ -35,7 +35,8 @@ class WeightedDigraph:
     """A structural graph plus one weight per edge under a named scheme.
 
     ``values[i]`` is the weight of edge i of ``graph``: a read-only float64
-    array in the graph's edge order, cast as ``EventLog`` columns are.
+    array in the graph's edge order, cast as ``EventLog`` columns are, with
+    0.0 for each -0.0, so that equal weights have equal bits.
     """
 
     graph: StructuralGraph
@@ -49,7 +50,8 @@ class WeightedDigraph:
                              f"{len(self.graph.src)} edges")
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("weights must be finite non-negative numbers")
-        values.flags.writeable = False
+        if np.signbit(values).any():  # a -0.0, the one signed value left
+            values = _exact_cast(values + 0.0, np.float64)
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -196,6 +196,26 @@ def test_pipeline_end_to_end(dataset, tmp_path):
     assert set(manifest["inputs"]) == {"events.jsonl", "follows.csv"}
 
 
+def test_manifest_records_every_flag_but_the_paths_and_threads(dataset,
+                                                               tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", "-i", str(dataset), "-o", str(out),
+                 "--alpha", "1.5", "--hist-bins", "7", "--no-retweet-activity",
+                 "--tfidf-log-base", "2", "--max-lag", "3",
+                 "--featured-lag", "2", "--threshold", "3",
+                 "--bin-width", "900", "--threads", "4"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"] == {
+        "alpha": 1.5, "hist_bins": 7, "retweets_count_as_activity": False,
+        "tfidf_log_base": "2", "max_lag": 3, "featured_lag": 2,
+        "threshold": 3, "bin_width": 900}
+    sidecars = sorted((out / "weights").glob("*.json"))
+    assert len(sidecars) == 8  # five schemes, TE at lags 1-3
+    for path in sidecars:
+        sidecar = json.loads(path.read_text())
+        assert sidecar["retweets_count_as_activity"] is False, path.name
+
+
 def test_pipeline_reports_skipped_lines(dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
@@ -554,6 +574,37 @@ def test_bad_input_files_exit_two_before_output(tmp_path, capsys, command,
     assert not out.exists()
 
 
+EVENT_LINE = b'{"actor": "a", "kind": "mention", "target": "b", "ts": 0}\n'
+
+
+@pytest.mark.parametrize("command, files, bad, line", [
+    # far past the text reader's first chunk, whose offsets the codec names
+    ("ingest", {"follows.csv": MUTUAL.encode(),
+                "events.jsonl": EVENT_LINE * 5000 + b'{"actor": "\xff"}\n'},
+     "events.jsonl", 5001),
+    ("ingest", {"events.jsonl": EVENT_LINE,
+                "follows.csv": b"followee,follower\na,b\nb,a\na,c\nc,a\n"
+                               b"b,caf\xe9\n"}, "follows.csv", 6),
+    ("report", {"covering_x.txt": b"a b\nc \xe9 d\n"}, "covering_x.txt", 2),
+    ("detect", {"weights_x.csv": b"source,target,weight\na,b,1\n\xff,a,1\n"},
+     "weights_x.csv", 3),
+], ids=["events", "follows", "covering", "weight-table"])
+def test_invalid_utf8_names_its_file_and_line(tmp_path, capsys, command,
+                                               files, bad, line):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    out = tmp_path / "out"
+    argv = {"ingest": ["ingest", "-i", str(tmp_path), "-o", str(out)],
+            "report": ["report", str(tmp_path / "covering_x.txt"),
+                       "-o", str(out)],
+            "detect": ["detect", "--weights", str(tmp_path / "weights_x.csv"),
+                       "-o", str(out)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"qocd: data error: {tmp_path / bad} line {line} is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_threshold_past_the_float_range_exits_two(dataset, tmp_path, capsys):
     # math.isfinite raised OverflowError on it, a traceback past argparse
     out = tmp_path / "out"
@@ -680,7 +731,7 @@ def test_shared_flags_read_one_default_in_every_subcommand():
         for name, value in vars(parser.parse_args([command, *argv])).items():
             values.setdefault(name, {})[command] = value
     for name in ("threshold", "bin_width", "max_lag", "threads",
-                 "tfidf_log_base", "no_retweet_activity", "alpha",
+                 "tfidf_log_base", "retweets_count_as_activity", "alpha",
                  "hist_bins"):
         assert "pipeline" in values[name] and len(values[name]) == 2, name
         assert len(set(values[name].values())) == 1, values[name]

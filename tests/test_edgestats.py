@@ -157,6 +157,17 @@ class TestConditionalWeights:
         return wg, np.array([EDGE_CLASSES.index(by_edge[e])
                              for e in wg.graph.edges], dtype=np.int8)
 
+    def test_negative_zero_weight_is_stored_as_zero(self):
+        wg = WeightedDigraph.from_mapping(
+            {("a", "b"): -0.0, ("b", "a"): 0.0, ("a", "c"): 1.0,
+             ("c", "a"): 0.5}, "t")
+        assert not np.signbit(wg.values).any()
+        intra = conditional_weights(wg, np.ones(4, dtype=np.int8))[
+            "classes"]["intra"]
+        (lowest, share), median = intra["ccdf"][0], intra["median"]
+        assert (lowest, share, median) == (0.0, 0.5, 0.0)
+        assert not np.signbit([lowest, median]).any()
+
     def test_medians_and_counts(self):
         wg, classes = self.wg_and_classes()
         report = conditional_weights(wg, classes)["classes"]

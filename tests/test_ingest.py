@@ -8,6 +8,7 @@ from qocd.cli import main
 from qocd.ingest import (StructuralGraph, count_information_events,
                          filter_active, giant_scc, parse_events,
                          read_follow_edges, write_follow_edges)
+from qocd.ingest import _exact_cast
 
 from oracles import brute_force_sccs, event_rows
 
@@ -74,6 +75,18 @@ def graph_of(*edges, extra_nodes=()):
 def test_structural_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         StructuralGraph.from_edges([("a", "a")])
+
+
+@pytest.mark.parametrize("column", [
+    np.array([1, 2], dtype=np.int32),  # the dtype, writable: copied
+    np.array([1.0, 2.0]),              # another dtype: cast
+    [1, 2],                            # a list: cast
+])
+def test_exact_cast_returns_a_read_only_copy(column):
+    cast = _exact_cast(column, np.int32)
+    assert cast.dtype == np.int32 and cast.tolist() == [1, 2]
+    assert not cast.flags.writeable
+    assert not np.shares_memory(cast, column)
 
 
 @pytest.mark.parametrize("src", [
