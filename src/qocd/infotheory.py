@@ -12,11 +12,13 @@ sample count n = T - k. A negative adjusted estimate is truncated to zero by
 default; the raw value stays available via ``truncate=False``.
 
 Each series is packed into int32 codes of its (k+1)-bit windows, x_t at bit
-0 above its k-bit past, and every pair of terms comes from one code array:
-H[x_t, x_past] and H[x_past] from the target's windows, and the joint terms
-from a code that puts the source's past above them. The first pair depends
-on the target alone, so a pairwise table computes it once per node and only
-the joint pair once per edge.
+0 above its k-bit past. H[x_t, x_past] and H[x_past] come from a target's
+windows, once per target; the joint terms from a code that puts the
+source's past above them, once per edge. Rows go in chunks of about
+``_CHUNK`` samples, counted by one ``bincount`` while a row's code width is
+at most n, else by a row-wise sort that no width slows; the ``>> 1`` counts
+fold out of these. Each -p log2 p is read from one table per lag, and each
+row's terms are summed alone in code order, as one ``.sum()`` would.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     n = sum(counts.values())
     if n == 0:
         raise ValueError("no samples")
-    plugin, alphabet = _entropy(np.array(sorted(counts.values())), n)
+    alphabet = len(counts)
+    plugin = float(entropy_terms(np.array(sorted(counts.values())), n).sum())
     return EntropyEstimate(
         plugin=plugin,
         miller_madow=plugin + (alphabet - 1) / (2 * n),
@@ -59,7 +62,7 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     )
 
 
-MAX_LAG = 12  # a joint code has 2k+1 <= 25 bits; its bincount is 256 MiB at 12
+MAX_LAG = 12  # a joint code's 2k+1 bits fit int32; counting any width is O(n)
 
 
 def _window_codes(bits: np.ndarray, k: int) -> np.ndarray:
@@ -81,15 +84,57 @@ def entropy_terms(counts: np.ndarray, n: int) -> np.ndarray:
     return -p * np.log2(p)
 
 
-def _entropy(counts: np.ndarray, n: int) -> tuple[float, int]:
-    """Plug-in entropy (bits) and observed-alphabet size of symbol counts."""
-    seen = counts[counts > 0]
-    return float(entropy_terms(seen, n).sum()), len(seen)
+_CHUNK = 1 << 15  # samples per chunk of rows; bounds the counting state
 
 
-def _entropies(codes: np.ndarray, n: int):
-    """The entropy terms of a code array with and without its bit 0."""
-    return _entropy(np.bincount(codes), n), _entropy(np.bincount(codes >> 1), n)
+def _row_entropies(codes: np.ndarray, width: int, terms: np.ndarray) -> list:
+    """H and observed alphabet of each row of ``codes`` (all below
+    ``width``), then of its ``codes >> 1``: four sequences, one value per
+    row. ``terms[c]`` is the entropy term of a count c. Consumes ``codes``."""
+    rows, n = codes.shape
+    if width <= n:  # one bincount, each row's codes offset by its width
+        codes += np.arange(0, rows * width, width, dtype=codes.dtype)[:, None]
+        joint = np.bincount(codes.reshape(-1), minlength=rows * width)
+        found = []
+        for counts in (joint, joint[0::2] + joint[1::2]):
+            seen = np.flatnonzero(counts)
+            heads = np.arange(0, counts.size, counts.size // rows)
+            found += _row_sums(terms, counts[seen], np.searchsorted(seen, heads))
+        return found
+    # sort each row: one run per code, so the width costs nothing
+    codes.sort(axis=1)
+    flat = codes.reshape(-1)
+    starts = _run_starts(flat, np.arange(0, flat.size, n))
+    heads = np.searchsorted(starts, np.arange(0, flat.size, n))
+    past = flat[starts]
+    past >>= 1  # the runs of one code >> 1 are adjacent
+    counts = flat[:starts.size]  # the codes are read: their buffer holds these
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="same_kind")
+    counts[-1] = flat.size - starts[-1]
+    del starts  # each array goes once read, to keep the chunk state small
+    found = _row_sums(terms, counts, heads)
+    starts = _run_starts(past, heads)
+    del past
+    counts = np.add.reduceat(counts, starts, dtype=counts.dtype)
+    heads = np.searchsorted(starts, heads)
+    del starts
+    return found + _row_sums(terms, counts, heads)
+
+
+def _run_starts(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Indices where ``values`` changes or a row starts (at ``heads``)."""
+    first = np.concatenate(([True], values[1:] != values[:-1]))
+    first[heads] = True
+    return np.flatnonzero(first)
+
+
+def _row_sums(terms: np.ndarray, counts: np.ndarray, heads: np.ndarray) -> list:
+    """Entropy and observed alphabet of each row of nonzero ``counts``, row r
+    from ``heads[r]``: one ``.sum()`` of its own terms, in code order."""
+    gathered = terms[counts]
+    bounds = heads.tolist() + [counts.size]
+    return [[np.add.reduce(gathered[a:b]) for a, b in zip(bounds, bounds[1:])],
+            np.diff(bounds)]
 
 
 PAIR = StructuralGraph(("x", "y"), [1], [0])  # y -> x: y is the source
@@ -132,17 +177,22 @@ def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
         raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
     n = t_len - k
     windows = _window_codes(activity.bits, k)
-    target_terms = {}
+    terms = np.concatenate(([0.0], entropy_terms(np.arange(1, n + 1), n)))
+    step = max(1, _CHUNK // n)  # rows per chunk
+    own = np.empty((4, len(graph.nodes)))  # each node's terms as a target
+    for i in range(0, len(graph.nodes), step):
+        own[:, i:i + step] = _row_entropies(windows[i:i + step].copy(),
+                                            2 << k, terms)
     table = np.empty(len(graph.src))
-    for i, (y, x) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
-        if x not in target_terms:
-            target_terms[x] = _entropies(windows[x], n)
-        (h_xfp, a_xfp), (h_xp, a_xp) = target_terms[x]
+    for i in range(0, len(graph.src), step):
+        x = graph.dst[i:i + step]
+        h_xfp, a_xfp, h_xp, a_xp = own[:, x]  # H[x_t, x_past], H[x_past]
         # y_past above x's window: H[x_t, x_past, y_past], H[x_past, y_past]
-        (h_xfyp, a_xfyp), (h_xyp, a_xyp) = _entropies(
-            ((windows[y] >> 1) << (k + 1)) + windows[x], n)
-        table[i] = (h_xfp - h_xp - h_xfyp + h_xyp
-                    + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
+        codes = (windows[graph.src[i:i + step]] >> 1) << (k + 1)
+        codes += windows[x]
+        h_xfyp, a_xfyp, h_xyp, a_xyp = _row_entropies(codes, 2 << 2 * k, terms)
+        table[i:i + step] = (h_xfp - h_xp - h_xfyp + h_xyp
+                             + (a_xfp - a_xp - a_xfyp + a_xyp) / (2 * n))
     if truncate:
         table[table < 0.0] = 0.0
     return table

@@ -31,14 +31,16 @@ _COLUMNS = {"kind": np.uint8, "actor": np.int32, "target": np.int32,
 
 
 def _exact_cast(column, dtype) -> np.ndarray:
-    """``column`` as a read-only ``dtype`` array: a read-only array of that
-    dtype as it is, anything else as a new array, so that a caller's
-    writable array is never shared; ValueError if the cast would change a
-    value (one out of range, a fraction, or any complex value), where numpy
-    would wrap it or warn."""
+    """``column`` as a read-only ``dtype`` array: one of that dtype that views
+    no writable array as it is, anything else copied, so no caller can write
+    to it; ValueError if the cast would change a value (out of range, a
+    fraction, any complex), where numpy would wrap it or warn."""
     given = np.asarray(column)
     if given.dtype == dtype:  # no value can change
-        cast = given.copy() if given.flags.writeable else given
+        base = given
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base  # ends at None, or a buffer such as _frozen's
+        cast = given.copy() if isinstance(base, np.ndarray) else given
     elif given.dtype.kind == "c":  # astype would drop the imaginary parts
         raise ValueError(f"complex column does not fit {np.dtype(dtype)}")
     else:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qocd import infotheory
 from qocd.activity import ActivityMatrix
 from qocd.infotheory import (MAX_LAG, pairwise_transfer_entropy,
                              plugin_entropy, transfer_entropy)
@@ -231,6 +232,35 @@ class TestPairwise:
                 got = pairwise_transfer_entropy(graph, activity, k, truncate)
                 assert got.tobytes() == want.tobytes(), (k, truncate)
 
+    def test_equals_the_two_matrix_kernel_across_chunks(self):
+        # at T = 10,000 a chunk holds 3 rows: the 7 edges fill three chunks
+        # and n1's in-edges sit in all three, as the 5 targets fill two;
+        # lags to 6 count with bincount, the rest sort; T = k + 1 has n = 1
+        rng = np.random.default_rng(14)
+        edges = [("n0", "n1"), ("n0", "ones"), ("n1", "n2"), ("n2", "n1"),
+                 ("n3", "zeros"), ("ones", "n3"), ("zeros", "n1")]
+        graph = StructuralGraph.from_edges(edges)
+        for t_len in (10_000, None):
+            for k in range(1, MAX_LAG + 1):
+                bins = t_len or k + 1
+                step = infotheory._CHUNK // (bins - k)
+                if t_len:
+                    assert 3 == step < len(edges), step
+                    assert (2 << 2 * k <= bins - k) == (k <= 6)
+                rates = rng.uniform(0.05, 0.95, 4)
+                bits = {f"n{i}": (rng.random(bins) < r).astype(np.uint8)
+                        for i, r in enumerate(rates)}
+                bits.update(zeros=np.zeros(bins, np.uint8),
+                            ones=np.ones(bins, np.uint8))
+                activity = activity_of(bits)
+                for truncate in (True, False):
+                    want = two_matrix_pairwise_te(
+                        graph.src.tolist(), graph.dst.tolist(), activity.bits,
+                        k, truncate)
+                    got = pairwise_transfer_entropy(graph, activity, k,
+                                                    truncate)
+                    assert got.tobytes() == want.tobytes(), (bins, k, truncate)
+
     def test_window_codes_take_four_bytes_per_node_bin(self):
         rng = np.random.default_rng(13)
         nodes, bins = 200, 2_000
@@ -245,6 +275,26 @@ class TestPairwise:
         tracemalloc.start()
         try:
             pairwise_transfer_entropy(graph, activity, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * nodes * bins
+
+    def test_counting_at_the_lag_bound_stays_within_the_same_bytes(self):
+        # at MAX_LAG a joint code is 25 bits wide: counting must not need 2^25
+        rng = np.random.default_rng(15)
+        nodes, bins = 200, 2_000
+        activity = ActivityMatrix(
+            tuple(f"n{i:03d}" for i in range(nodes)),
+            rng.random((nodes, bins)) < rng.uniform(0.05, 0.5, (nodes, 1)),
+            600, 0)
+        names = activity.nodes
+        graph = StructuralGraph.from_edges(
+            [(names[i], names[(i + d) % nodes])
+             for i in range(nodes) for d in (1, 7)])
+        tracemalloc.start()
+        try:
+            pairwise_transfer_entropy(graph, activity, MAX_LAG)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -89,6 +89,25 @@ def test_exact_cast_returns_a_read_only_copy(column):
     assert not np.shares_memory(cast, column)
 
 
+def test_read_only_view_of_a_writable_array_is_copied():
+    src = np.array([0], dtype=np.int32)
+    view = src.view()
+    view.flags.writeable = False
+    g = StructuralGraph(("a", "b"), view, [1])
+    chained = StructuralGraph(("a", "b"), view[:], [1])  # two read-only links
+    src[0] = 1
+    assert g.edges == chained.edges == (("a", "b"),)
+
+
+def test_read_only_arrays_that_view_no_writable_array_are_kept():
+    owned = np.array([0], dtype=np.int32)
+    owned.flags.writeable = False
+    assert _exact_cast(owned, np.int32) is owned
+    log = parse('{"kind":"post","actor":"a","ts":1}')  # _frozen's buffers
+    assert not isinstance(log.ts.base, np.ndarray)
+    assert _exact_cast(log.ts, np.int64) is log.ts
+
+
 @pytest.mark.parametrize("src", [
     np.array([2**32]),  # numpy would wrap it to node 0
     [2**32],
