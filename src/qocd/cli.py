@@ -179,24 +179,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _run_weights(log, graph, args, schemes, lags, series: bool = False):
+def _run_weights(log, graph, args, schemes, lags):
     """The tables of ``schemes`` (TE once per lag in ``lags``), each with
-    its sidecar dict, in name order, and the activity matrix if ``series``
-    asks for it, else None, so ``pipeline`` does not hold it through
-    detection; writes nothing.
+    its sidecar dict, in name order; writes nothing.
 
     Every sidecar records the bin width and whether retweets count as
-    activity; TE sidecars add the lag, the hashtag one the tf-idf base.
+    activity; TE sidecars add the lag, the hashtag one the tf-idf base,
+    which cosine cancels, so it changes no weight.
     """
     retweets = args.retweets_count_as_activity
     meta = {"bin_width": args.bin_width, "retweets_count_as_activity": retweets}
     built: list[tuple[WeightedDigraph, dict]] = []
     if "structural" in schemes:
         built.append((structural_weights(graph), meta))
-    if "te" in schemes or series:
+    if "te" in schemes:
         activity = batch_coarsen(log, graph, bin_width=args.bin_width,
                                  retweets_count_as_activity=retweets)
-    if "te" in schemes:
         for k in lags:
             built.append((transfer_entropy_weights(graph, activity, k),
                           dict(meta, lag=k)))
@@ -208,12 +206,11 @@ def _run_weights(log, graph, args, schemes, lags, series: bool = False):
         built.append((mention_retweet_weights(shares["mention"],
                                               shares["retweet"]), meta))
     if "hashtag" in schemes:
-        base = 2.0 if args.tfidf_log_base == "2" else math.e
-        vectors = hashtag_tfidf_vectors(log, graph.nodes, log_base=base)
+        vectors = hashtag_tfidf_vectors(log, graph.nodes)
         built.append((hashtag_similarity_weights(graph, vectors),
                       dict(meta, tfidf_log_base=args.tfidf_log_base)))
     built.sort(key=lambda pair: pair[0].scheme)
-    return built, activity if series else None
+    return built
 
 
 def cmd_weight(args) -> int:
@@ -222,10 +219,12 @@ def cmd_weight(args) -> int:
     out = Path(args.output)
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     lags = [args.lag] if args.lag else range(1, args.max_lag + 1)
-    built, activity = _run_weights(log, graph, args, schemes, lags,
-                                   args.dump_series)
+    built = _run_weights(log, graph, args, schemes, lags)
     if args.dump_series:
-        write_series_csv(activity, out / "activity_series.csv")
+        write_series_csv(batch_coarsen(
+            log, graph, bin_width=args.bin_width,
+            retweets_count_as_activity=args.retweets_count_as_activity),
+            out / "activity_series.csv")
     for wg, sidecar in built:
         write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
         print(f"weight: wrote weights_{wg.scheme}.csv "
@@ -330,8 +329,7 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
     log, graph, report = _run_ingest(indir, args.threshold)
-    built, _ = _run_weights(log, graph, args, SCHEMES,
-                            range(1, args.max_lag + 1))
+    built = _run_weights(log, graph, args, SCHEMES, range(1, args.max_lag + 1))
     tables = {wg.scheme: wg for wg, _ in built}
     coverings = {name: detect_communities(wg, args.alpha)
                  for name, wg in tables.items()}

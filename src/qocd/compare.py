@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .communities import Covering, membership_rows
-from .infotheory import entropy_terms
+from .infotheory import entropy_table
 
 
 def _overlaps(x: Covering, y: Covering,
@@ -34,14 +34,6 @@ def _overlaps(x: Covering, y: Covering,
     return keys // len(y.sizes), keys % len(y.sizes), n11
 
 
-def _h(count: np.ndarray, n: int) -> np.ndarray:
-    """-p log2 p for p = count/n, elementwise, with h(0) = 0."""
-    out = np.zeros(count.shape)
-    nz = count > 0
-    out[nz] = entropy_terms(count[nz], n)
-    return out
-
-
 def _cell_terms(h11, h10, h01, h00, hy) -> np.ndarray:
     """Conditional entropy of X rows given Y rows, inf where inadmissible."""
     h_cond = np.maximum((h11 + h10) + (h01 + h00) - hy, 0.0)
@@ -49,17 +41,19 @@ def _cell_terms(h11, h10, h01, h00, hy) -> np.ndarray:
     return np.where(admissible, h_cond, np.inf)
 
 
-def _mean_conditional_terms(x: Covering, y: Covering, pair_x: np.ndarray,
-                            pair_y: np.ndarray, h11, h10, h01, h00) -> float:
+def _mean_conditional_terms(x: Covering, y: Covering, h: np.ndarray,
+                            pair_x: np.ndarray, pair_y: np.ndarray,
+                            h11, h10, h01, h00) -> float:
     """Average normalized conditional entropy of X rows given Y rows.
 
-    ``h11 .. h00`` are the joint-cell entropies of the meeting row pairs
-    ``(pair_x, pair_y)``, with 1 meaning membership in the X row first.
+    ``h`` is the entropy term of each count 0..n, and ``h11 .. h00`` are
+    the joint-cell entropies of the meeting row pairs ``(pair_x, pair_y)``,
+    with 1 meaning membership in the X row first.
     """
     n = len(x.universe)
     # per row: h(size), and the marginal entropy of its membership vector
-    hx_size, hy_size = _h(x.sizes, n), _h(y.sizes, n)
-    hx, hy = hx_size + _h(n - x.sizes, n), hy_size + _h(n - y.sizes, n)
+    hx_size, hy_size = h[x.sizes], h[y.sizes]
+    hx, hy = hx_size + h[n - x.sizes], hy_size + h[n - y.sizes]
     best = np.full(len(x.sizes), np.inf)
     np.minimum.at(best, pair_x,
                   _cell_terms(h11, h10, h01, h00, hy[pair_y]))
@@ -70,9 +64,10 @@ def _mean_conditional_terms(x: Covering, y: Covering, pair_x: np.ndarray,
     met = np.bincount(pair_x * len(size_y) + size_of_y[pair_y],
                       minlength=len(x.sizes) * len(size_y))
     all_met = met.reshape(len(x.sizes), len(size_y)) == count
+    # n00 = n - sx - sy is negative where sx + sy > n: such pairs meet
+    n00 = np.maximum(n - x.sizes[:, None] - size_y[None, :], 0)
     disjoint = _cell_terms(0.0, hx_size[:, None], hy_size[first][None, :],
-                           _h(n - x.sizes[:, None] - size_y[None, :], n),
-                           hy[first][None, :])
+                           h[n00], hy[first][None, :])
     best = np.minimum(best, np.where(all_met, np.inf, disjoint).min(axis=1))
     term = np.where(np.isfinite(best), best, hx)
     denom = np.where(hx > 0, hx, 1.0)
@@ -87,15 +82,15 @@ def nmi(x: Covering, y: Covering) -> float:
     if not x.universe:
         raise ValueError("coverings must be non-empty")
     n = len(x.universe)
+    h = entropy_table(n)
     pair_x, pair_y, n11 = _overlaps(x, y)
     n10 = x.sizes[pair_x] - n11
     n01 = y.sizes[pair_y] - n11
-    n00 = n - n11 - n10 - n01
-    h11, h10, h01, h00 = _h(n11, n), _h(n10, n), _h(n01, n), _h(n00, n)
+    h11, h10, h01, h00 = h[n11], h[n10], h[n01], h[n - n11 - n10 - n01]
     # given X, the Y rows' cells are the same with n10 and n01 swapped
     return 1.0 - 0.5 * (
-        _mean_conditional_terms(x, y, pair_x, pair_y, h11, h10, h01, h00)
-        + _mean_conditional_terms(y, x, pair_y, pair_x, h11, h01, h10, h00))
+        _mean_conditional_terms(x, y, h, pair_x, pair_y, h11, h10, h01, h00)
+        + _mean_conditional_terms(y, x, h, pair_y, pair_x, h11, h01, h10, h00))
 
 
 def nmi_matrix(coverings: dict[str, Covering]) -> tuple[list[str], np.ndarray]:

@@ -16,9 +16,10 @@ Each series is packed into int32 codes of its (k+1)-bit windows, x_t at bit
 windows, once per target; the joint terms from a code that puts the
 source's past above them, once per edge. Rows go in chunks of about
 ``_CHUNK`` samples, counted by one ``bincount`` while a row's code width is
-at most n, else by a row-wise sort that no width slows; the ``>> 1`` counts
-fold out of these. Each -p log2 p is read from one table per lag, and each
-row's terms are summed alone in code order, as one ``.sum()`` would.
+at most n, else by a row-wise sort that no width slows; both give each
+row's codes seen with their counts, and one tail folds the ``>> 1`` counts
+out of these runs. Each -p log2 p is read from ``entropy_table(n)``, and
+each row's terms are summed alone in code order, as one ``.sum()`` would.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def entropy_terms(counts: np.ndarray, n: int) -> np.ndarray:
     return -p * np.log2(p)
 
 
+def entropy_table(n: int) -> np.ndarray:
+    """``entropy_terms`` of each count 0..n of n, indexed by count; 0 at 0."""
+    return np.concatenate(([0.0], entropy_terms(np.arange(1, n + 1), n)))
+
+
 _CHUNK = 1 << 15  # samples per chunk of rows; bounds the counting state
 
 
@@ -92,29 +98,27 @@ def _row_entropies(codes: np.ndarray, width: int, terms: np.ndarray) -> list:
     ``width``), then of its ``codes >> 1``: four sequences, one value per
     row. ``terms[c]`` is the entropy term of a count c. Consumes ``codes``."""
     rows, n = codes.shape
+    # either path gives each row's codes seen in code order, counts, heads
     if width <= n:  # one bincount, each row's codes offset by its width
         codes += np.arange(0, rows * width, width, dtype=codes.dtype)[:, None]
         joint = np.bincount(codes.reshape(-1), minlength=rows * width)
-        found = []
-        for counts in (joint, joint[0::2] + joint[1::2]):
-            seen = np.flatnonzero(counts)
-            heads = np.arange(0, counts.size, counts.size // rows)
-            found += _row_sums(terms, counts[seen], np.searchsorted(seen, heads))
-        return found
-    # sort each row: one run per code, so the width costs nothing
-    codes.sort(axis=1)
-    flat = codes.reshape(-1)
-    starts = _run_starts(flat, np.arange(0, flat.size, n))
-    heads = np.searchsorted(starts, np.arange(0, flat.size, n))
-    past = flat[starts]
-    past >>= 1  # the runs of one code >> 1 are adjacent
-    counts = flat[:starts.size]  # the codes are read: their buffer holds these
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="same_kind")
-    counts[-1] = flat.size - starts[-1]
-    del starts  # each array goes once read, to keep the chunk state small
+        seen = np.flatnonzero(joint)
+        counts = joint[seen]
+        heads = np.searchsorted(seen, np.arange(0, rows * width, width))
+    else:  # sort each row: one run per code, so the width costs nothing
+        codes.sort(axis=1)
+        flat = codes.reshape(-1)
+        starts = _run_starts(flat, np.arange(0, flat.size, n))
+        heads = np.searchsorted(starts, np.arange(0, flat.size, n))
+        seen = flat[starts]
+        counts = flat[:starts.size]  # the codes are read: their buffer holds these
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="same_kind")
+        counts[-1] = flat.size - starts[-1]
+        del starts  # each array goes once read, to keep the chunk state small
     found = _row_sums(terms, counts, heads)
-    starts = _run_starts(past, heads)
-    del past
+    seen >>= 1  # the runs of one code >> 1 are adjacent
+    starts = _run_starts(seen, heads)
+    del seen
     counts = np.add.reduceat(counts, starts, dtype=counts.dtype)
     heads = np.searchsorted(starts, heads)
     del starts
@@ -177,7 +181,7 @@ def pairwise_transfer_entropy(graph: StructuralGraph, activity: ActivityMatrix,
         raise ValueError(f"lag k={k} must satisfy 1 <= k <= {MAX_LAG}, k < T={t_len}")
     n = t_len - k
     windows = _window_codes(activity.bits, k)
-    terms = np.concatenate(([0.0], entropy_terms(np.arange(1, n + 1), n)))
+    terms = entropy_table(n)
     step = max(1, _CHUNK // n)  # rows per chunk
     own = np.empty((4, len(graph.nodes)))  # each node's terms as a target
     for i in range(0, len(graph.nodes), step):

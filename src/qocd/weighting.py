@@ -126,9 +126,9 @@ def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
     """tf-idf hashtag vector per user: count(tag) * log(N / users_using_tag).
 
     Tags used by every user score zero and are dropped from the vectors, as
-    is any tag a user never used. The log base only rescales the vectors, so
-    downstream cosine weights are base-independent. Each vector is a plain
-    ``{tag: value}`` dict in the order the user first used the tags.
+    is any tag a user never used. The log base only rescales the vectors:
+    cosines of two bases agree mathematically, not bit for bit. Each vector
+    is a plain ``{tag: value}`` dict in the order the user first used them.
     """
     users = list(nodes)
     if not users:

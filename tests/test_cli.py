@@ -216,6 +216,22 @@ def test_manifest_records_every_flag_but_the_paths_and_threads(dataset,
         assert sidecar["retweets_count_as_activity"] is False, path.name
 
 
+def test_tfidf_log_base_changes_only_the_files_that_record_it(dataset,
+                                                              tmp_path):
+    # cosines of base-2 and base-e tf-idf differ in their last bits, which
+    # can split or merge ties among the edge reports' CCDF points
+    trees = []
+    for base in ("e", "2"):
+        out = tmp_path / base
+        assert main(["pipeline", "-i", str(dataset), "-o", str(out),
+                     "--threshold", "2", "--max-lag", "1",
+                     "--featured-lag", "1", "--tfidf-log-base", base]) == 0
+        trees.append(_tree_bytes(out))
+    assert trees[0].keys() == trees[1].keys()
+    assert {name for name in trees[0] if trees[0][name] != trees[1][name]} == {
+        "weights/weights_hashtag.json", "manifest.json"}
+
+
 def test_pipeline_reports_skipped_lines(dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)

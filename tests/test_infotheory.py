@@ -43,6 +43,17 @@ class TestPluginEntropy:
             plugin_entropy([])
 
 
+@pytest.mark.parametrize("n", [1, 2, 999, 9066])
+def test_entropy_table_equals_the_term_of_each_count_alone(n):
+    # TE and the cover NMI gather every term from the table: each entry
+    # must equal the term computed on its count alone, bit for bit
+    table = infotheory.entropy_table(n)
+    assert table.shape == (n + 1,) and table[0] == 0.0
+    alone = [infotheory.entropy_terms(np.array([c]), n)[0]
+             for c in range(1, n + 1)]
+    assert table[1:].tobytes() == np.array(alone).tobytes()
+
+
 class TestTransferEntropy:
     def test_constant_source_is_exactly_zero(self):
         rng = np.random.default_rng(0)
