@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from operator import length_hint
 
 import numpy as np
 
@@ -29,7 +30,10 @@ MAX_NODES = 10_000
 # generate(SynthConfig(seed=7)): 35.3 MiB for 715,912 events), so 2^26 take
 # about 3.5 GB, and the defaults at 10^4 nodes and T = 9072 expect 4.1e7
 MAX_EVENTS = 2**26
-_SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw slice
+_SLICE = 1 << 16  # node pairs per follow-draw chunk, posts per tag-draw list
+# raw words per random_raw call of the tag draw: as Python ints, 2^10 take
+# about 40 KB; 2^14 raised synth's peak RSS by 0.5 MB
+_RAW_CHUNK = 1 << 10
 COUNTS = ("nodes", "communities", "bins", "bin_width", "influence_in_degree",
           "influence_lag", "cross_influencers", "cross_span", "hashtag_pool",
           "shared_pool", "seed")
@@ -83,6 +87,10 @@ class SynthConfig:
         for name, value in dict(amounts, cross_epsilon=cross_eps).items():
             if not 0 <= value < np.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("hashtag_pool", "shared_pool"):  # the 32-bit tag draw
+            if getattr(self, name) >= 2**32:
+                raise ValueError(f"{name} must be < 2**32, got "
+                                 f"{getattr(self, name)}")
         if self.rho + max(self.epsilon, cross_eps) > 1.0:
             raise ValueError("rho plus the largest coupling must not exceed 1")
         if self.communities < 1 or self.nodes < 2 * self.communities:
@@ -222,27 +230,98 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, StructuralGraph, PlantedTruth]
     return log, graph, truth
 
 
+def _raw_replay(rng):
+    """Scalar ``rng.random()`` and ``rng.integers(m)`` calls, replayed on the
+    raw 64-bit words of its PCG64, drawn ``_RAW_CHUNK`` at a time.
+
+    Returns ``word, integers, settle``:
+    - ``rng.random() < p`` is ``word() >> 11 < p * 2**53``, exactly: random()
+      is ``(word >> 11) * 2**-53`` and an int compares with a float exactly.
+    - ``integers(m)`` is ``int(rng.integers(m))`` for 0 < m < 2**32: numpy's
+      32-bit Lemire draw (Lemire, ACM TOMACS 29(1), 2019) with its rejection
+      loop, on half-words that the bit generator hands out low half first,
+      buffering the high half (``has_uint32`` / ``uinteger`` in its state).
+      ``integers(1)`` takes no word.
+    - ``settle()`` leaves ``rng`` as the scalar calls would have: the saved
+      state advanced by the words used, then the half-word buffer.
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    has, half = saved["has_uint32"], saved["uinteger"]
+    drawn = [0, iter(())]  # chunks drawn, an iterator over the last one
+
+    def chunks():
+        while True:
+            drawn[:] = drawn[0] + 1, iter(
+                bitgen.random_raw(_RAW_CHUNK).tolist())
+            yield drawn[1]
+
+    word = chain.from_iterable(chunks()).__next__
+
+    def integers(m: int) -> int:
+        nonlocal has, half
+        while m > 1:  # until a draw is accepted
+            if has:
+                has, x = 0, half
+            else:
+                w = word()
+                has, half, x = 1, w >> 32, w & 0xFFFFFFFF
+            x *= m
+            low = x & 0xFFFFFFFF
+            if low >= m or low >= (0x100000000 - m) % m:
+                return x >> 32
+        return 0
+
+    def settle() -> None:
+        bitgen.state = saved
+        bitgen.advance(drawn[0] * _RAW_CHUNK - length_hint(drawn[1]))
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bitgen.state = state
+
+    return word, integers, settle
+
+
 def _draw_events(cfg: SynthConfig, rng, member, follow, shares, post_actor):
     """The draws after the activity: each post's tag code (or -1) and the tag
-    table in order of first draw, then the mention and retweet columns."""
-    tag_pools = [[f"c{c}tag{t}" for t in range(cfg.hashtag_pool)]
-                 for c in range(cfg.communities)]
-    shared_tags = [f"sharedtag{t}" for t in range(cfg.shared_pool)]
-    own_pools = [np.flatnonzero(col).tolist() for col in member.T]
-    codes: dict[str, int] = {}
+    table in order of first draw, then the mention and retweet columns.
+
+    A post's tag is drawn as by the scalar calls
+        if rng.random() < hashtag_rate:
+            if own and rng.random() < own_pool_bias:
+                pool = community own[rng.integers(len(own))]'s tags
+            else:
+                pool = the shared tags
+            if pool:
+                tag = pool[rng.integers(len(pool))]
+    replayed by ``_raw_replay``. Tag t of community c's pool is key
+    c * hashtag_pool + t, shared tag t is key communities * hashtag_pool + t,
+    and a key gets its name only once drawn."""
+    own_size, shared_size = int(cfg.hashtag_pool), int(cfg.shared_pool)
+    shared_key = int(cfg.communities) * own_size
+    tag_rate = cfg.hashtag_rate * 2.0**53
+    own_bias = cfg.own_pool_bias * 2.0**53
+    # each node's communities, as the first key of each one's pool
+    own_firsts = [(np.flatnonzero(c) * own_size).tolist() for c in member.T]
+    keys: dict[int, int] = {}  # key -> code
     post_tag = array("i")
+    word, integers, settle = _raw_replay(rng)
     for lo in range(0, len(post_actor), _SLICE):
         for i in post_actor[lo:lo + _SLICE].tolist():
-            tag, own = -1, own_pools[i]
-            if rng.random() < cfg.hashtag_rate:
-                if own and rng.random() < cfg.own_pool_bias:
-                    pool = tag_pools[own[int(rng.integers(len(own)))]]
+            tag = -1
+            if word() >> 11 < tag_rate:
+                own = own_firsts[i]
+                if own and word() >> 11 < own_bias:
+                    first, size = own[integers(len(own))], own_size
                 else:
-                    pool = shared_tags
-                if pool:
-                    tag = codes.setdefault(
-                        pool[int(rng.integers(len(pool)))], len(codes))
+                    first, size = shared_key, shared_size
+                if size:
+                    tag = keys.setdefault(first + integers(size), len(keys))
             post_tag.append(tag)
+    settle()
+    codes = {(f"c{key // own_size}tag{key % own_size}" if key < shared_key
+              else f"sharedtag{key - shared_key}"): code
+             for key, code in keys.items()}
 
     horizon = cfg.bins * cfg.bin_width
     drawn = kinds, actors, stamps, targets = tuple(map(array, "Biqi"))

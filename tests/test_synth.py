@@ -1,8 +1,10 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qocd import synth
 from qocd.activity import batch_coarsen
 from qocd.communities import detect_communities
 from qocd.compare import nmi
@@ -157,6 +159,8 @@ def test_infeasible_configs_are_rejected():
     ("rho", dict(nodes=10_000, bins=100_000, rho=0.9, epsilon=0.1)),
     ("mention_events", dict(nodes=100, mention_events=1e9)),
     ("retweet_events", dict(nodes=10_000, retweet_events=1e4)),
+    ("hashtag_pool", dict(hashtag_pool=2**32)),
+    ("shared_pool", dict(shared_pool=np.uint64(2**32))),
 ])
 def test_validate_rejects_what_generate_cannot_use(field, params):
     # each once passed validate and failed in generate with a TypeError or
@@ -245,3 +249,55 @@ def test_generate_matches_the_loop_oracle(params):
         assert np.array_equal(graph.dst, ref_graph.dst)
         assert truth.covering == ref_truth.covering
         assert truth.influence_edges == ref_truth.influence_edges
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+@pytest.mark.parametrize("m", [2, 3, 6, 2**31 + 1, 3 * 10**9, 2**32 - 1])
+def test_raw_replay_equals_the_scalar_calls(m, buffered, monkeypatch):
+    # at m = 2**31 + 1 and 3e9 about half and 30% of the draws are rejected
+    monkeypatch.setattr(synth, "_RAW_CHUNK", 5)  # many refills
+    scalar, replayed = np.random.default_rng(29), np.random.default_rng(29)
+    if buffered:  # a 32-bit draw leaves the word's high half buffered
+        assert scalar.integers(7) == replayed.integers(7)
+        assert replayed.bit_generator.state["has_uint32"] == 1
+    calls = random.Random(m).choices(["random", "bounded", "one"], k=600)
+    want = [scalar.random() if call == "random" else
+            int(scalar.integers(m if call == "bounded" else 1))
+            for call in calls]
+    word, integers, settle = synth._raw_replay(replayed)
+    got = [(word() >> 11) * 2.0**-53 if call == "random" else
+           integers(m if call == "bounded" else 1) for call in calls]
+    settle()
+    assert got == want
+    assert replayed.bit_generator.state == scalar.bit_generator.state
+    assert replayed.random() == scalar.random()
+    assert replayed.integers(m) == scalar.integers(m)
+
+
+@pytest.mark.parametrize("params", [ORACLE_CONFIGS[i] for i in (0, 1, 5, 6)])
+def test_generate_matches_the_loop_oracle_across_raw_chunks(params,
+                                                            monkeypatch):
+    # chunks of 3 words end inside posts and inside buffered half-words;
+    # the configs: plain, own pools of length 2, hashtag_pool=0, shared_pool=0
+    monkeypatch.setattr(synth, "_RAW_CHUNK", 3)
+    for seed in range(3):
+        cfg = SynthConfig(seed=seed, **params)
+        log, ref_log = generate(cfg)[0], loop_generate(cfg)[0]
+        for name in ("tags", "kind", "actor", "target", "ts", "tag_ptr",
+                     "tag_ids"):
+            assert np.array_equal(getattr(log, name),
+                                  getattr(ref_log, name)), (name, seed)
+
+
+def test_tag_pools_take_memory_by_the_tags_drawn():
+    # every name of every pool was once built before the first draw: the
+    # peak was 130 MB here, though only two tags are drawn
+    cfg = SynthConfig(nodes=4, communities=2, bins=10, hashtag_pool=10**6)
+    tracemalloc.start()
+    try:
+        log = generate(cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log.tags) < 10
+    assert peak < 4 * 2**20
