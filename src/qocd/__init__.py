@@ -16,8 +16,8 @@ from .edgestats import (EDGE_CLASSES, conditional_weights, partition_edges,
 from .infotheory import (EntropyEstimate, pairwise_transfer_entropy,
                          plugin_entropy, transfer_entropy)
 from .ingest import (EventLog, StructuralGraph, count_information_events,
-                     filter_active, giant_scc, parse_events, read_events,
-                     read_follow_edges, write_follow_edges)
+                     filter_active, giant_scc, information_flow, parse_events,
+                     read_events, read_follow_edges, write_follow_edges)
 from .synth import PlantedTruth, SynthConfig, generate
 from .weighting import (WeightedDigraph, cosine,
                         hashtag_similarity_weights, hashtag_tfidf_vectors,
@@ -31,7 +31,7 @@ __all__ = [
     "WeightedDigraph", "batch_coarsen", "conditional_weights",
     "count_information_events", "cosine", "covering_stats",
     "detect_communities", "filter_active", "generate", "giant_scc",
-    "hashtag_similarity_weights", "hashtag_tfidf_vectors",
+    "hashtag_similarity_weights", "hashtag_tfidf_vectors", "information_flow",
     "mention_retweet_weights", "mention_share_weights", "nmi", "nmi_matrix",
     "orphans", "pairwise_transfer_entropy", "parse_events", "partition_edges",
     "plugin_entropy", "read_covering", "read_events", "read_follow_edges",

@@ -278,11 +278,12 @@ def _write_nmi_csv(labels, matrix, path: Path) -> None:
               ([label, *map(_fmt, row)] for label, row in zip(labels, matrix)))
 
 
-def _write_edge_report(summary: dict, out: Path, context: dict) -> None:
+def _write_edge_report(summary: dict, out: Path, covering: str) -> None:
     write_csv(out / "summary.csv", ["class", "count", "median"],
               ((name, c["count"], "" if c["median"] is None else _fmt(c["median"]))
                for name, c in summary["classes"].items()))
-    write_json(out / "summary.json", dict(context, **summary))
+    write_json(out / "summary.json",
+               dict(summary, covering=covering, weights=summary["scheme"]))
     for name, c in summary["classes"].items():
         write_csv(out / f"ccdf_{name}.csv", ["weight", "proportion"],
                   ((_fmt(w), _fmt(p)) for w, p in c["ccdf"]))
@@ -293,8 +294,7 @@ def cmd_edges(args) -> int:
     path = Path(args.covering)
     classes = partition_edges(wg, read_covering(path, wg.graph.nodes))
     summary = conditional_weights(wg, classes, bins=args.hist_bins)
-    _write_edge_report(summary, Path(args.output),
-                       {"covering": _covering_label(path), "weights": wg.scheme})
+    _write_edge_report(summary, Path(args.output), _covering_label(path))
     print(f"edges: {len(classes)} edges partitioned -> {args.output}")
     return 0
 
@@ -354,7 +354,7 @@ def cmd_pipeline(args) -> int:
             summary = conditional_weights(tables[wt_name], classes,
                                           bins=args.hist_bins)
             _write_edge_report(summary, out / "edges" / f"{cov_name}__{wt_name}",
-                               {"covering": cov_name, "weights": wt_name})
+                               cov_name)
 
     _write_report(coverings, tables.values(), out / "report")
 

@@ -140,11 +140,11 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
     """The node codes of the community grown from ``seed``. ``links[v]``,
     v's weight to the members, is summed in adjacency order, and again only
     when a neighbour of v moves, the one change that alters it. The weights
-    are positive, so v has a member neighbour iff ``links[v]`` is above 0."""
+    are positive, so the join candidates, the non-members with a member
+    neighbour, are the non-members whose ``links`` value is above 0."""
     members: set[int] = set()
     links: dict[int, float] = {}
     tiny = sys.float_info.min
-    frontier: set[int] = set()  # the non-members with a member neighbour
 
     def out_of_range(total: float) -> ValueError:
         return ValueError(f"alpha {alpha} takes the fitness out of the float "
@@ -171,18 +171,15 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
         members.symmetric_difference_update((v,))
         for u in adjacency[v]:
             links[u] = sum(w for x, w in adjacency[u].items() if x in members)
-        for u in (v, *adjacency[v]):
-            (frontier.add if links.get(u) and u not in members
-             else frontier.discard)(u)
 
     w_in = w_bnd = 0.0
     move(seed)
     while True:  # a failed join ends it: the last shedding left nothing to shed
         best, joiner = fitness(w_in, w_bnd), None
-        for v in sorted(frontier):
+        for v in sorted(links.keys() - members):
             linked = links[v]
-            f = fitness(w_in + linked, w_bnd - linked + (strength[v] - linked))
-            if f > best:
+            if linked and (f := fitness(w_in + linked, w_bnd - linked
+                                        + (strength[v] - linked))) > best:
                 best, joiner = f, v
         if joiner is None:
             return members

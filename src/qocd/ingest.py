@@ -481,25 +481,29 @@ def write_follow_edges(graph: StructuralGraph, path) -> None:
     write_csv(path, ["followee", "follower"], graph.edges)
 
 
+def information_flow(log: EventLog, nodes: Iterable[str],
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kind, source, receiver)`` of each mention and retweet between two
+    users of ``nodes``, in log order, the users as positions in ``nodes``:
+    the one place that knows which way information moves. A mention flows
+    from its actor to the user it names; a retweet from the author of the
+    retweeted post, its target, to the retweeter, its actor."""
+    actor, target = log.positions(nodes)
+    inside = (actor >= 0) & (target >= 0)  # a post's target is -1
+    kind, actor, target = log.kind[inside], actor[inside], target[inside]
+    retweet = kind == RETWEET
+    return (kind, np.where(retweet, target, actor),
+            np.where(retweet, actor, target))
+
+
 def count_information_events(log: EventLog, graph: StructuralGraph,
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """(outgoing, incoming) int64 counts per node, in ``graph.nodes`` order.
-
-    Outgoing for u: mentions made by u of in-network users, plus retweets of
-    u's posts by in-network users. Incoming for u: mentions of u by
-    in-network users, plus retweets made by u of in-network users. Events
-    touching anyone outside the graph are ignored entirely.
-    """
-    actor, target = log.positions(graph.nodes)
-    inside = (actor >= 0) & (target >= 0)  # a post's target is -1
-    mention = inside & (log.kind == MENTION)
-    retweet = inside & (log.kind == RETWEET)  # actor rebroadcast target's post
-
-    def tally(*codes) -> np.ndarray:
-        return np.bincount(np.concatenate(codes), minlength=len(graph.nodes))
-
-    return (tally(actor[mention], target[retweet]),
-            tally(target[mention], actor[retweet]))
+    """(outgoing, incoming) int64 counts per node, in ``graph.nodes`` order:
+    how often each node is the source, and the receiver, of an event of
+    :func:`information_flow` over the graph's nodes."""
+    _, source, receiver = information_flow(log, graph.nodes)
+    n = len(graph.nodes)
+    return np.bincount(source, minlength=n), np.bincount(receiver, minlength=n)
 
 
 def filter_active(graph: StructuralGraph,

@@ -27,7 +27,8 @@ import numpy as np
 
 from .activity import ActivityMatrix
 from .infotheory import pairwise_transfer_entropy
-from .ingest import MENTION, RETWEET, EventLog, StructuralGraph, _exact_cast
+from .ingest import (MENTION, RETWEET, EventLog, StructuralGraph, _exact_cast,
+                     information_flow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +83,12 @@ def transfer_entropy_weights(graph: StructuralGraph, activity: ActivityMatrix,
     return WeightedDigraph(graph, table, f"te_lag{k}")
 
 
-def _share(graph: StructuralGraph, log: EventLog, kind: int,
-           follower_acts: bool) -> np.ndarray:
-    """Per edge (v, u): the share of u's events of kind code ``kind`` that
-    pair u with v, over events between graph nodes; 0 if u has none. u is
-    the actor of those events if ``follower_acts``, else their target."""
-    actor, target = log.positions(graph.nodes)
-    inside = (log.kind == kind) & (actor >= 0) & (target >= 0)
-    followee, follower = (target, actor) if follower_acts else (actor, target)
-    followee, follower = followee[inside], follower[inside]
+def _share(graph: StructuralGraph, log: EventLog, kind: int) -> np.ndarray:
+    """Per edge (v, u): the share of the events of kind code ``kind`` that u
+    receives from graph nodes, by :func:`information_flow`, whose source is
+    v; 0 if u receives none."""
+    kinds, source, receiver = information_flow(log, graph.nodes)
+    followee, follower = source[kinds == kind], receiver[kinds == kind]
     n = len(graph.nodes)
     keys = graph.src.astype(np.int64) * n + graph.dst  # sorted: edge order
     pairs = followee.astype(np.int64) * n + follower
@@ -102,12 +100,12 @@ def _share(graph: StructuralGraph, log: EventLog, kind: int,
 
 def retweet_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = retweets of u by f / all retweets f made (in-network)."""
-    return WeightedDigraph(graph, _share(graph, log, RETWEET, True), "retweet")
+    return WeightedDigraph(graph, _share(graph, log, RETWEET), "retweet")
 
 
 def mention_share_weights(graph: StructuralGraph, log: EventLog) -> WeightedDigraph:
     """w(u -> f) = mentions of f by u / all mentions of f (in-network)."""
-    return WeightedDigraph(graph, _share(graph, log, MENTION, False), "mention")
+    return WeightedDigraph(graph, _share(graph, log, MENTION), "mention")
 
 
 def mention_retweet_weights(mention: WeightedDigraph,

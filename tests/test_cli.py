@@ -36,6 +36,15 @@ def ingested(dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def piped(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("piped")
+    assert main(["pipeline", "-i", str(dataset), "-o", str(out),
+                 "--threshold", "2", "--max-lag", "2",
+                 "--featured-lag", "2"]) == 0
+    return out
+
+
 def test_synth_outputs(dataset):
     names = {p.name for p in dataset.iterdir()}
     assert names == {"events.jsonl", "follows.csv", "planted_covering.txt",
@@ -111,14 +120,12 @@ def test_weight_dump_series_equals_the_activity_matrix(dataset, ingested,
         "weights_structural.csv", "weights_structural.json"]
 
 
-def test_weight_tables_equal_pipeline_weights(dataset, ingested, tmp_path):
-    wdir, pdir = tmp_path / "w", tmp_path / "p"
+def test_weight_tables_equal_pipeline_weights(dataset, ingested, piped,
+                                              tmp_path):
+    wdir, pdir = tmp_path / "w", piped
     assert main(["weight", "--events", str(dataset / "events.jsonl"),
                  "--graph", str(ingested / "graph.csv"),
                  "--scheme", "all", "--max-lag", "2", "-o", str(wdir)]) == 0
-    assert main(["pipeline", "-i", str(dataset), "-o", str(pdir),
-                 "--threshold", "2", "--max-lag", "2",
-                 "--featured-lag", "2"]) == 0
     assert (ingested / "graph.csv").read_bytes() == \
         (pdir / "ingest" / "graph.csv").read_bytes()
     names = sorted(p.name for p in (pdir / "weights").iterdir())
@@ -127,6 +134,33 @@ def test_weight_tables_equal_pipeline_weights(dataset, ingested, tmp_path):
     for name in names:
         assert (wdir / name).read_bytes() == \
             (pdir / "weights" / name).read_bytes(), name
+
+
+def test_stages_write_the_bytes_pipeline_writes(dataset, piped, tmp_path):
+    # detect reads a table file, which holds its weights at 12 digits while
+    # pipeline detects on the unrounded ones; only the structural table's
+    # weights, all 1, are the same on both paths
+    assert main(["ingest", "-i", str(dataset), "-o", str(tmp_path / "ingest"),
+                 "--threshold", "2"]) == 0
+    assert _tree_bytes(tmp_path / "ingest") == _tree_bytes(piped / "ingest")
+
+    table = piped / "weights" / "weights_structural.csv"
+    assert main(["detect", "--weights", str(table),
+                 "-o", str(tmp_path / "covering.txt")]) == 0
+    assert (tmp_path / "covering.txt").read_bytes() == \
+        (piped / "coverings" / "covering_structural.txt").read_bytes()
+
+    coverings = sorted(map(str, (piped / "coverings").iterdir()))
+    graph = str(piped / "ingest" / "graph.csv")
+    assert main(["compare", *coverings, "--graph", graph,
+                 "-o", str(tmp_path / "nmi.csv")]) == 0
+    assert (tmp_path / "nmi.csv").read_bytes() == \
+        (piped / "compare" / "nmi_matrix.csv").read_bytes()
+
+    tables = sorted(map(str, (piped / "weights").glob("*.csv")))
+    assert main(["report", *coverings, "--graph", graph, "--weights", *tables,
+                 "-o", str(tmp_path / "report")]) == 0
+    assert _tree_bytes(tmp_path / "report") == _tree_bytes(piped / "report")
 
 
 def test_detect_compare_edges_report(dataset, ingested, tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qocd.cli import main
-from qocd.ingest import (StructuralGraph, count_information_events,
-                         filter_active, giant_scc, parse_events,
-                         read_follow_edges, write_follow_edges)
+from qocd.ingest import (MENTION, RETWEET, StructuralGraph,
+                         count_information_events, filter_active, giant_scc,
+                         information_flow, parse_events, read_follow_edges,
+                         write_follow_edges)
 from qocd.ingest import _exact_cast
 
 from oracles import brute_force_sccs, event_rows
@@ -182,6 +183,19 @@ class TestInformationEvents:
         log = parse('{"kind":"post","actor":"a","ts":0}')
         counts = self.counts(log)
         assert counts == {"a": (0, 0), "b": (0, 0)}
+
+
+def test_information_flow_runs_from_source_to_receiver():
+    # a mentions b; c retweets b's post, so b's post flows to c; the post
+    # and the mention of x, no node, carry nothing between nodes
+    log = parse('{"kind":"post","actor":"b","ts":0}',
+                '{"kind":"mention","actor":"a","ts":1,"target":"b"}',
+                '{"kind":"mention","actor":"a","ts":2,"target":"x"}',
+                '{"kind":"retweet","actor":"c","ts":3,"target":"b"}')
+    kind, source, receiver = information_flow(log, ("c", "b", "a"))
+    assert kind.tolist() == [MENTION, RETWEET]
+    assert source.tolist() == [2, 1]  # positions in the nodes given: a, b
+    assert receiver.tolist() == [1, 0]  # b, c
 
 
 def counts_for(graph, mapping):
