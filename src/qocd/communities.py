@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .infotheory import fold
 from .ingest import open_input, open_output
 from .weighting import WeightedDigraph
 
@@ -138,10 +139,10 @@ def covering_stats(covering: Covering) -> dict:
 def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
           alpha: float) -> set[int]:
     """The node codes of the community grown from ``seed``. ``links[v]``,
-    v's weight to the members, is summed in adjacency order, and again only
-    when a neighbour of v moves, the one change that alters it. The weights
-    are positive, so the join candidates, the non-members with a member
-    neighbour, are the non-members whose ``links`` value is above 0."""
+    v's weight to the members, is their ``fold`` in adjacency order, redone
+    only when a neighbour of v moves, the one change that alters it. The
+    weights are positive, so the join candidates, the non-members with a
+    member neighbour, are the non-members whose ``links`` value is above 0."""
     members: set[int] = set()
     links: dict[int, float] = {}
     tiny = sys.float_info.min
@@ -170,7 +171,7 @@ def _grow(seed: int, adjacency: list[dict[int, float]], strength: list[float],
         w_bnd += sign * (strength[v] - 2 * linked)
         members.symmetric_difference_update((v,))
         for u in adjacency[v]:
-            links[u] = sum(w for x, w in adjacency[u].items() if x in members)
+            links[u] = fold(w for x, w in adjacency[u].items() if x in members)
 
     w_in = w_bnd = 0.0
     move(seed)
@@ -210,7 +211,7 @@ def detect_communities(wg: WeightedDigraph, alpha: float = 1.0) -> Covering:
     end at one node become singletons. The procedure is deterministic.
 
     Both edge directions pool into one neighbour -> weight dict per node
-    code, filled in edge order, so every float sum runs in one order.
+    code, filled in edge order; each float sum is a ``fold`` in that order.
     """
     if not 0 < alpha < math.inf:  # also rejects NaN
         raise ValueError("alpha must be positive and finite")
@@ -222,7 +223,7 @@ def detect_communities(wg: WeightedDigraph, alpha: float = 1.0) -> Covering:
                        wg.values[positive].tolist()):
         adjacency[v][u] = adjacency[v].get(u, 0.0) + w
         adjacency[u][v] = adjacency[u].get(v, 0.0) + w
-    strength = [sum(nbrs.values()) for nbrs in adjacency]
+    strength = [fold(nbrs.values()) for nbrs in adjacency]
     if not any(s > 0 for s in strength):
         warnings.warn("no positive-weight edges; covering is all singletons")
         return Covering(universe=nodes, communities=())

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     Symbols may be anything hashable; frequencies are empirical.
     """
     counts = Counter(symbols)
-    n = sum(counts.values())
+    n = counts.total()
     if n == 0:
         raise ValueError("no samples")
     alphabet = len(counts)
@@ -83,6 +83,15 @@ def entropy_terms(counts: np.ndarray, n: int) -> np.ndarray:
     entropy term, shared by the TE estimates and the covering NMI."""
     p = counts / n
     return -p * np.log2(p)
+
+
+def fold(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as 3.11's builtin ``sum`` (not
+    3.12's, which compensates): the one order of the output's float sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def entropy_table(n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .activity import ActivityMatrix
-from .infotheory import pairwise_transfer_entropy
+from .infotheory import fold, pairwise_transfer_entropy
 from .ingest import (MENTION, RETWEET, EventLog, StructuralGraph, _exact_cast,
                      information_flow)
 
@@ -152,14 +152,14 @@ def hashtag_tfidf_vectors(log: EventLog, nodes: Collection[str],
 
 
 def cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Cosine similarity of two sparse ``{tag: value}`` vectors; 0 if either
-    is all-zero. The dot product runs over the shorter one."""
+    """Cosine similarity of two sparse ``{tag: value}`` vectors, summed by
+    ``fold``; 0 if either is all-zero. The dot product scans the shorter."""
     if len(a) > len(b):
         a, b = b, a
-    dot = sum(v * b.get(tag, 0.0) for tag, v in a.items())
+    dot = fold(v * b.get(tag, 0.0) for tag, v in a.items())
     if dot == 0.0:
         return 0.0
-    norm_a, norm_b = (math.sqrt(sum(v * v for v in vec.values()))
+    norm_a, norm_b = (math.sqrt(fold(v * v for v in vec.values()))
                       for vec in (a, b))
     return min(1.0, dot / (norm_a * norm_b))
 

@@ -5,6 +5,7 @@ tuples, Counter, math.log2, dense membership matrices) and shares no code
 with the package internals.
 """
 
+import builtins
 import math
 from collections import Counter
 from typing import NamedTuple
@@ -306,8 +307,11 @@ class _FitnessState:
         return w_in / total ** self.alpha
 
     def _link_to_members(self, node, exclude=None) -> float:
-        return sum(w for nbr, w in self.adjacency[node].items()
-                   if nbr in self.members and nbr != exclude)
+        linked = 0.0  # left to right, as the detector sums
+        for nbr, w in self.adjacency[node].items():
+            if nbr in self.members and nbr != exclude:
+                linked += w
+        return linked
 
     def fitness_with(self, node) -> float:
         linked = self._link_to_members(node)
@@ -351,7 +355,11 @@ def loop_detect_communities(wg, alpha: float = 1.0) -> tuple:
             adjacency.setdefault(u, {})
             adjacency[v][u] = adjacency[v].get(u, 0.0) + w
             adjacency[u][v] = adjacency[u].get(v, 0.0) + w
-    strength = {node: sum(nbrs.values()) for node, nbrs in adjacency.items()}
+    strength = {}
+    for node, nbrs in adjacency.items():
+        strength[node] = 0.0  # left to right, as the detector sums
+        for w in nbrs.values():
+            strength[node] += w
     covered = set()
     communities = []
     known = set()
@@ -828,3 +836,26 @@ def loop_parse_events(stream):
     tag_names, tag_rank = interned(tags)
     return EventLog(id_names, kind, id_rank[actor], id_rank[target], ts,
                     tag_names, tag_ptr, tag_rank[tag_ids], skipped)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(values, /, start=0):
+    """CPython 3.12's builtin ``sum``, whose float loop is Neumaier's
+    compensated sum (gh-100425), for running code under 3.12's float sums on
+    an older interpreter. An all-integer or non-numeric sum is the builtin's."""
+    items = list(values)
+    if (type(start) not in (int, float)
+            or any(type(x) not in (int, float) for x in items)
+            or all(type(x) is int for x in (start, *items))):
+        return _BUILTIN_SUM(items, start)
+    s = c = 0.0
+    for x in map(float, (start, *items)):
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c if c and math.isfinite(c) else s

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import json
 import os
 import re
@@ -14,6 +15,8 @@ import qocd.cli
 from qocd.activity import batch_coarsen, write_series_csv
 from qocd.cli import main, read_weight_table
 from qocd.ingest import read_events, read_follow_edges
+
+from oracles import compensated_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYNTH_ARGS = ["--nodes", "24", "--communities", "3", "--bins", "150",
@@ -118,6 +121,19 @@ def test_weight_dump_series_equals_the_activity_matrix(dataset, ingested,
     assert sorted(p.name for p in out.iterdir()) == [
         "activity_series.csv", "activity_series.json",
         "weights_structural.csv", "weights_structural.json"]
+
+
+def test_pipeline_bytes_ignore_the_interpreters_float_sum(dataset, piped,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # builtins.sum as CPython 3.12 has it, compensated: hashtag cosines
+    # summed by it moved the 8 hashtag edge-report files of this dataset
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    out = tmp_path / "out"
+    assert main(["pipeline", "-i", str(dataset), "-o", str(out),
+                 "--threshold", "2", "--max-lag", "2",
+                 "--featured-lag", "2"]) == 0
+    assert _tree_bytes(out) == _tree_bytes(piped)
 
 
 def test_weight_tables_equal_pipeline_weights(dataset, ingested, piped,
@@ -882,3 +898,18 @@ def test_only_open_output_writes_files():
              for name, call in _output_calls(path)]
     # equality, not a subset: the walk must find the allowed calls too
     assert {(file, name) for file, name, _ in calls} == allowed, calls
+
+
+def test_no_module_calls_the_builtin_sum():
+    """A float sum whose bits reach the output goes through
+    infotheory.fold, whose order no interpreter changes; the builtin sum's
+    float order changed in CPython 3.12."""
+    calls = [(path.name, node.func.id, node.lineno) for path
+             in sorted(Path(qocd.__file__).resolve().parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("sum", "fold")]
+    assert [call for call in calls if call[1] == "sum"] == []
+    # the walk must find the fold calls too
+    assert {file for file, name, _ in calls if name == "fold"} == {
+        "communities.py", "weighting.py"}

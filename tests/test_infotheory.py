@@ -10,7 +10,8 @@ from qocd.infotheory import (MAX_LAG, pairwise_transfer_entropy,
                              plugin_entropy, transfer_entropy)
 from qocd.ingest import StructuralGraph
 
-from oracles import brute_force_te, two_matrix_pairwise_te
+from oracles import (brute_force_te, compensated_sum,
+                     two_matrix_pairwise_te)
 
 
 class TestPluginEntropy:
@@ -52,6 +53,29 @@ def test_entropy_table_equals_the_term_of_each_count_alone(n):
     alone = [infotheory.entropy_terms(np.array([c]), n)[0]
              for c in range(1, n + 1)]
     assert table[1:].tobytes() == np.array(alone).tobytes()
+
+
+def test_fold_adds_left_to_right_from_zero():
+    # the detector and the cosine sum by fold: one rounding per term, in
+    # order, where math.fsum and 3.12's compensated sum keep the lost 1.0
+    assert infotheory.fold([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    empty = infotheory.fold([])
+    assert type(empty) is float and empty == 0.0
+    assert math.copysign(1.0, infotheory.fold([-0.0])) == 1.0
+    rng = np.random.default_rng(11)
+    differs = 0
+    for _ in range(500):
+        values = (rng.standard_normal(int(rng.integers(1, 200)))
+                  * 10.0 ** rng.integers(-3, 4)).tolist()
+        total = 0.0
+        for v in values:
+            total = total + v
+        assert infotheory.fold(values) == total
+        assert infotheory.fold(iter(values)) == total
+        differs += compensated_sum(values) != total
+    assert differs > 250  # most lists tell the two orders apart
 
 
 class TestTransferEntropy:
