@@ -72,13 +72,9 @@ _non_negative_int = _bounded(int, 0)
 _positive_float = _bounded(float, 0, strict=True)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
 def write_weight_table(wg: WeightedDigraph, path: Path, meta: dict) -> None:
     write_csv(path, ["source", "target", "weight"],
-              ((v, u, _fmt(w)) for (v, u), w
+              ((v, u, w) for (v, u), w
                in zip(wg.graph.edges, wg.values.tolist())))
     write_json(path.with_suffix(".json"), dict(meta, scheme=wg.scheme))
 
@@ -275,18 +271,18 @@ def cmd_compare(args) -> int:
 
 def _write_nmi_csv(labels, matrix, path: Path) -> None:
     write_csv(path, ["covering", *labels],
-              ([label, *map(_fmt, row)] for label, row in zip(labels, matrix)))
+              ([label, *row] for label, row in zip(labels, matrix.tolist())))
 
 
 def _write_edge_report(summary: dict, out: Path, covering: str) -> None:
     write_csv(out / "summary.csv", ["class", "count", "median"],
-              ((name, c["count"], "" if c["median"] is None else _fmt(c["median"]))
+              ((name, c["count"], c["median"])
                for name, c in summary["classes"].items()))
     write_json(out / "summary.json",
                dict(summary, covering=covering, weights=summary["scheme"]))
     for name, c in summary["classes"].items():
         write_csv(out / f"ccdf_{name}.csv", ["weight", "proportion"],
-                  ((_fmt(w), _fmt(p)) for w, p in c["ccdf"]))
+                  c["ccdf"])
 
 
 def cmd_edges(args) -> int:
@@ -310,7 +306,7 @@ def _write_report(coverings: dict[str, Covering], tables, out: Path) -> None:
                for label, s in zip(labels, stats)))
     for label in labels:
         write_csv(out / f"size_ccdf_{label}.csv", ["size", "proportion"],
-                  ((s, _fmt(p)) for s, p in size_ccdf(coverings[label])))
+                  size_ccdf(coverings[label]))
     if tables:
         write_csv(out / "orphans.csv", ["scheme", "orphans"],
                   ((wg.scheme, len(orphans(wg))) for wg in tables))

@@ -461,8 +461,8 @@ def open_output(path) -> IO[str]:
 
 def write_csv(path, header, rows) -> None:
     """``header`` (unless None) and ``rows`` in qocd's one CSV dialect:
-    minimal quoting, so a field with a comma, quote or line break is
-    quoted and reads back whole, and ``\\n`` line ends."""
+    minimal quoting, so a field with a comma, quote or line break reads
+    back whole, ``\\n`` line ends, and each float as its shortest repr."""
     with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header is not None:

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import json
 import os
 import re
@@ -153,18 +154,28 @@ def test_weight_tables_equal_pipeline_weights(dataset, ingested, piped,
 
 
 def test_stages_write_the_bytes_pipeline_writes(dataset, piped, tmp_path):
-    # detect reads a table file, which holds its weights at 12 digits while
-    # pipeline detects on the unrounded ones; only the structural table's
-    # weights, all 1, are the same on both paths
     assert main(["ingest", "-i", str(dataset), "-o", str(tmp_path / "ingest"),
                  "--threshold", "2"]) == 0
     assert _tree_bytes(tmp_path / "ingest") == _tree_bytes(piped / "ingest")
 
-    table = piped / "weights" / "weights_structural.csv"
-    assert main(["detect", "--weights", str(table),
-                 "-o", str(tmp_path / "covering.txt")]) == 0
-    assert (tmp_path / "covering.txt").read_bytes() == \
-        (piped / "coverings" / "covering_structural.txt").read_bytes()
+    tables = sorted((piped / "weights").glob("*.csv"))
+    assert len(tables) == 7
+    for table in tables:
+        name = "covering_" + table.stem.removeprefix("weights_") + ".txt"
+        assert main(["detect", "--weights", str(table),
+                     "-o", str(tmp_path / "coverings" / name)]) == 0
+    assert _tree_bytes(tmp_path / "coverings") == \
+        _tree_bytes(piped / "coverings")
+
+    reports = sorted((piped / "edges").iterdir())
+    assert len(reports) == 12
+    for report in reports:
+        cov, wt = report.name.split("__")
+        assert main(["edges",
+                     "--weights", str(piped / "weights" / f"weights_{wt}.csv"),
+                     "--covering", str(piped / "coverings" / f"covering_{cov}.txt"),
+                     "-o", str(tmp_path / "edges" / report.name)]) == 0
+    assert _tree_bytes(tmp_path / "edges") == _tree_bytes(piped / "edges")
 
     coverings = sorted(map(str, (piped / "coverings").iterdir()))
     graph = str(piped / "ingest" / "graph.csv")
@@ -173,10 +184,34 @@ def test_stages_write_the_bytes_pipeline_writes(dataset, piped, tmp_path):
     assert (tmp_path / "nmi.csv").read_bytes() == \
         (piped / "compare" / "nmi_matrix.csv").read_bytes()
 
-    tables = sorted(map(str, (piped / "weights").glob("*.csv")))
-    assert main(["report", *coverings, "--graph", graph, "--weights", *tables,
+    assert main(["report", *coverings, "--graph", graph,
+                 "--weights", *map(str, tables),
                  "-o", str(tmp_path / "report")]) == 0
     assert _tree_bytes(tmp_path / "report") == _tree_bytes(piped / "report")
+
+
+def _float_fields(path: Path) -> list[str]:
+    """The non-empty weight, proportion, median and NMI cells of a CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    columns = (range(1, len(header)) if path.name == "nmi_matrix.csv" else
+               [i for i, name in enumerate(header)
+                if name in ("weight", "proportion", "median")])
+    return [row[i] for row in rows for i in columns if row[i]]
+
+
+def test_every_float_field_is_its_shortest_repr(piped, tmp_path):
+    coverings = sorted(map(str, (piped / "coverings").iterdir()))
+    assert main(["compare", *coverings,
+                 "--graph", str(piped / "ingest" / "graph.csv"),
+                 "-o", str(tmp_path / "nmi_matrix.csv")]) == 0
+    assert main(["report", *coverings, "-o", str(tmp_path / "report")]) == 0
+    kinds = set()
+    for path in sorted(piped.rglob("*.csv")) + sorted(tmp_path.rglob("*.csv")):
+        for text in _float_fields(path):
+            assert repr(float(text)) == text, (path, text)
+            kinds.add(path.stem.split("_")[0])
+    assert kinds == {"weights", "nmi", "ccdf", "summary", "size"}
 
 
 def test_detect_compare_edges_report(dataset, ingested, tmp_path):
@@ -308,7 +343,7 @@ def test_weight_table_quotes_ids_with_commas(tmp_path):
                  "--graph", str(ingested / "graph.csv"),
                  "--scheme", "structural", "-o", str(wdir)]) == 0
     table = wdir / "weights_structural.csv"
-    assert table.read_text().splitlines()[1:3] == ['"a,b",c,1', 'c,"a,b",1']
+    assert table.read_text().splitlines()[1:3] == ['"a,b",c,1.0', 'c,"a,b",1.0']
     assert read_weight_table(table).graph.edges == \
         read_follow_edges(ingested / "graph.csv").edges
     assert main(["detect", "--weights", str(table),

@@ -42,7 +42,8 @@ ids = st.text(st.one_of(st.sampled_from(',"\'#é名'),
                         st.characters(codec="utf-8")),
               min_size=1, max_size=6).filter(accepted)
 edges = st.tuples(ids, ids).filter(lambda e: e[0] != e[1])
-# weight tables hold 12 significant digits, so draw weights that fit in them
+# weights of at most 12 significant digits; test_weight_table_keeps_every_bit
+# draws every finite non-negative double
 weights = st.floats(0, 1e6).map(lambda w: float(format(w, ".12g")))
 
 
@@ -72,6 +73,22 @@ def test_weight_table_round_trip(table):
     assert same_graph(back.graph, wg.graph)
     assert back.values.tolist() == wg.values.tolist()
     assert back.scheme == wg.scheme
+
+
+@ROUND_TRIPS
+@given(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                min_size=1, max_size=12))
+@example([0.0, -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308, 1.0])
+def test_weight_table_keeps_every_bit(values):
+    table = {("a", f"b{i}"): w for i, w in enumerate(values)}
+    wg = WeightedDigraph.from_mapping(table, "t")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights_t.csv"
+        write_weight_table(wg, path, {})
+        back = read_weight_table(path)
+    # -0.0 reads back as 0.0, as WeightedDigraph stores it
+    want = np.array([table[e] for e in back.graph.edges]) + 0.0
+    assert back.values.tobytes() == want.tobytes()
 
 
 @ROUND_TRIPS
