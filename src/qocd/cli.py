@@ -175,9 +175,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _run_weights(log, graph, args, schemes, lags):
+def _run_weights(log, graph, args, schemes, lags, series=False):
     """The tables of ``schemes`` (TE once per lag in ``lags``), each with
-    its sidecar dict, in name order; writes nothing.
+    its sidecar dict, in name order, and the activity matrix, built once
+    if TE or ``series`` needs it, else None; writes nothing.
 
     Every sidecar records the bin width and whether retweets count as
     activity; TE sidecars add the lag, the hashtag one the tf-idf base,
@@ -188,12 +189,12 @@ def _run_weights(log, graph, args, schemes, lags):
     built: list[tuple[WeightedDigraph, dict]] = []
     if "structural" in schemes:
         built.append((structural_weights(graph), meta))
+    activity = (batch_coarsen(log, graph, bin_width=args.bin_width,
+                              retweets_count_as_activity=retweets)
+                if "te" in schemes or series else None)
     if "te" in schemes:
-        activity = batch_coarsen(log, graph, bin_width=args.bin_width,
-                                 retweets_count_as_activity=retweets)
-        for k in lags:
-            built.append((transfer_entropy_weights(graph, activity, k),
-                          dict(meta, lag=k)))
+        built += [(transfer_entropy_weights(graph, activity, k),
+                   dict(meta, lag=k)) for k in lags]
     shares = {scheme: build(graph, log) for scheme, build in (
         ("mention", mention_share_weights), ("retweet", retweet_share_weights))
         if {scheme, "mention_retweet"} & set(schemes)}  # each at most once
@@ -206,7 +207,7 @@ def _run_weights(log, graph, args, schemes, lags):
         built.append((hashtag_similarity_weights(graph, vectors),
                       dict(meta, tfidf_log_base=args.tfidf_log_base)))
     built.sort(key=lambda pair: pair[0].scheme)
-    return built
+    return built, activity
 
 
 def cmd_weight(args) -> int:
@@ -215,12 +216,10 @@ def cmd_weight(args) -> int:
     out = Path(args.output)
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     lags = [args.lag] if args.lag else range(1, args.max_lag + 1)
-    built = _run_weights(log, graph, args, schemes, lags)
+    built, activity = _run_weights(log, graph, args, schemes, lags,
+                                   args.dump_series)
     if args.dump_series:
-        write_series_csv(batch_coarsen(
-            log, graph, bin_width=args.bin_width,
-            retweets_count_as_activity=args.retweets_count_as_activity),
-            out / "activity_series.csv")
+        write_series_csv(activity, out / "activity_series.csv")
     for wg, sidecar in built:
         write_weight_table(wg, out / f"weights_{wg.scheme}.csv", sidecar)
         print(f"weight: wrote weights_{wg.scheme}.csv "
@@ -325,7 +324,8 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     indir, out = Path(args.input), Path(args.output)
     log, graph, report = _run_ingest(indir, args.threshold)
-    built = _run_weights(log, graph, args, SCHEMES, range(1, args.max_lag + 1))
+    built, _ = _run_weights(log, graph, args, SCHEMES,
+                            range(1, args.max_lag + 1))
     tables = {wg.scheme: wg for wg, _ in built}
     coverings = {name: detect_communities(wg, args.alpha)
                  for name, wg in tables.items()}

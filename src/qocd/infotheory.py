@@ -24,6 +24,7 @@ each row's terms are summed alone in code order, as one ``.sum()`` would.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,7 +55,7 @@ def plugin_entropy(symbols: Sequence | np.ndarray) -> EntropyEstimate:
     if n == 0:
         raise ValueError("no samples")
     alphabet = len(counts)
-    plugin = float(entropy_terms(np.array(sorted(counts.values())), n).sum())
+    plugin = float(entropy_table(n)[sorted(counts.values())].sum())
     return EntropyEstimate(
         plugin=plugin,
         miller_madow=plugin + (alphabet - 1) / (2 * n),
@@ -78,13 +79,6 @@ def _window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     return codes
 
 
-def entropy_terms(counts: np.ndarray, n: int) -> np.ndarray:
-    """-p log2 p for p = counts / n, elementwise, counts > 0: the one
-    entropy term, shared by the TE estimates and the covering NMI."""
-    p = counts / n
-    return -p * np.log2(p)
-
-
 def fold(values: Iterable[float]) -> float:
     """``values`` added left to right from 0.0, as 3.11's builtin ``sum`` (not
     3.12's, which compensates): the one order of the output's float sums."""
@@ -95,8 +89,12 @@ def fold(values: Iterable[float]) -> float:
 
 
 def entropy_table(n: int) -> np.ndarray:
-    """``entropy_terms`` of each count 0..n of n, indexed by count; 0 at 0."""
-    return np.concatenate(([0.0], entropy_terms(np.arange(1, n + 1), n)))
+    """-p log2 p, p = c / n, of each count c in 0..n, indexed by c (0.0 at
+    0): the one entropy term. Its log2 is libm's ``math.log2``, not
+    ``np.log2``, whose kernel numpy picks by CPU."""
+    p = np.arange(1, n + 1) / n
+    log2 = np.fromiter(map(math.log2, p), np.float64, n)
+    return np.concatenate(([0.0], -p * log2))
 
 
 _CHUNK = 1 << 15  # samples per chunk of rows; bounds the counting state

@@ -100,6 +100,12 @@ class PairEntropies(NamedTuple):
     hy: float
 
 
+def _log2(values):
+    """math.log2 of each float, one at a time: np.log2's kernel depends on
+    the CPU, and the exact oracles must not."""
+    return np.array([math.log2(v) for v in values.tolist()], dtype=np.float64)
+
+
 def _h_array(count, n: int):
     """-p log2 p for p = count/n, elementwise, with h(0) = 0."""
     p = np.asarray(count, dtype=np.float64) / n
@@ -107,7 +113,7 @@ def _h_array(count, n: int):
     p = np.atleast_1d(p)
     out = np.zeros_like(p)
     nz = p > 0
-    out[nz] = -p[nz] * np.log2(p[nz])
+    out[nz] = -p[nz] * _log2(p[nz])
     return float(out[0]) if scalar else out
 
 
@@ -742,7 +748,7 @@ def _two_matrix_entropy(codes, n):
     counts = np.bincount(codes)
     nz = counts[counts > 0]
     probs = nz / n
-    return float(-(probs * np.log2(probs)).sum()), len(nz)
+    return float(-(probs * _log2(probs)).sum()), len(nz)
 
 
 def two_matrix_pairwise_te(src, dst, bits, k: int, truncate: bool):

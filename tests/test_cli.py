@@ -124,6 +124,25 @@ def test_weight_dump_series_equals_the_activity_matrix(dataset, ingested,
         "weights_structural.csv", "weights_structural.json"]
 
 
+@pytest.mark.parametrize("scheme, series, calls", [
+    ("te", True, 1), ("structural", True, 1), ("structural", False, 0)])
+def test_weight_builds_the_activity_matrix_at_most_once(
+        dataset, ingested, tmp_path, monkeypatch, scheme, series, calls):
+    # TE and --dump-series read one node x bin matrix, built once
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(None)
+        return batch_coarsen(*args, **kwargs)
+
+    monkeypatch.setattr(qocd.cli, "batch_coarsen", counted)
+    assert main(["weight", "--events", str(dataset / "events.jsonl"),
+                 "--graph", str(ingested / "graph.csv"), "--scheme", scheme,
+                 "--lag", "1", "-o", str(tmp_path / "w")]
+                + ["--dump-series"] * series) == 0
+    assert len(made) == calls
+
+
 def test_pipeline_bytes_ignore_the_interpreters_float_sum(dataset, piped,
                                                           tmp_path,
                                                           monkeypatch):
@@ -378,6 +397,11 @@ def test_weight_table_rejects_ids_a_covering_file_cannot_hold(tmp_path, capsys,
     assert not (tmp_path / "covering.txt").exists()
 
 
+# numpy skips its AVX-512 kernels in a process with this as
+# NPY_DISABLE_CPU_FEATURES; it accepts the names on CPUs without them
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
 def child_env(**extra: str) -> dict:
     """The environment of a child python that imports qocd from ``src``."""
     path = os.pathsep.join(
@@ -409,6 +433,21 @@ def test_pipeline_bytes_ignore_the_hash_seed(tmp_path):
             "--max-lag", "1", "--featured-lag", "1")
         trees.append(_tree_bytes(out))
     assert trees[0] == trees[1]
+
+
+def test_pipeline_bytes_ignore_numpys_cpu_dispatch(tmp_path):
+    # numpy picks its log2 kernel by CPU: on an AVX-512 host its AVX-512
+    # log2 moved 13 of this input's 110 files; a child run without those
+    # kernels must write the bytes of this process's run
+    data, ours, child = (tmp_path / name for name in ("data", "a", "b"))
+    assert main(["synth", "-o", str(data), "--nodes", "60", "--communities",
+                 "3", "--bins", "600", "--seed", "2"]) == 0
+    args = ["pipeline", "-i", str(data), "--threshold", "2", "-o"]
+    assert main(args + [str(ours)]) == 0
+    subprocess.run([sys.executable, "-m", "qocd.cli", *args, str(child)],
+                   env=child_env(NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+                   check=True, capture_output=True)
+    assert _tree_bytes(child) == _tree_bytes(ours)
 
 
 def test_usage_errors_exit_one(capsys):
@@ -948,3 +987,28 @@ def test_no_module_calls_the_builtin_sum():
     # the walk must find the fold calls too
     assert {file for file, name, _ in calls if name == "fold"} == {
         "communities.py", "weighting.py"}
+
+
+# numpy ufuncs whose results are not correctly rounded, so whose bits may
+# change with the kernel numpy picks by CPU
+TRANSCENDENTALS = {
+    "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2", "exp", "exp2",
+    "expm1", "power", "float_power", "sin", "cos", "tan", "arcsin", "arccos",
+    "arctan", "arctan2", "hypot", "sinh", "cosh", "tanh", "arcsinh",
+    "arccosh", "arctanh"}
+
+
+def test_no_module_calls_a_numpy_transcendental():
+    """Output bytes must not hang on numpy's per-CPU kernels: the one
+    logarithm base 2, infotheory.entropy_table's, is math.log2."""
+    uses = [(path.name, node.value.id, node.attr, node.lineno)
+            for path in sorted(Path(qocd.__file__).resolve().parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy", "math")]
+    assert [use for use in uses
+            if use[1] != "math" and use[2] in TRANSCENDENTALS] == []
+    # the walk must find the one math.log2 too
+    assert [(file, name) for file, module, name, _ in uses
+            if (module, name) == ("math", "log2")] == [("infotheory.py", "log2")]

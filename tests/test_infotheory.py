@@ -44,15 +44,27 @@ class TestPluginEntropy:
             plugin_entropy([])
 
 
+def _scalar_terms(n):
+    """-(c / n) * log2(c / n) of each count c in 1..n, one float at a time."""
+    return np.array([-(c / n) * math.log2(c / n) for c in range(1, n + 1)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 999, 9066])
 def test_entropy_table_equals_the_term_of_each_count_alone(n):
-    # TE and the cover NMI gather every term from the table: each entry
-    # must equal the term computed on its count alone, bit for bit
+    # TE, the cover NMI and the plug-in estimate gather every term from the
+    # table: each entry must equal the scalar term of its count alone, bit
+    # for bit, with no numpy kernel between it and math.log2
     table = infotheory.entropy_table(n)
     assert table.shape == (n + 1,) and table[0] == 0.0
-    alone = [infotheory.entropy_terms(np.array([c]), n)[0]
-             for c in range(1, n + 1)]
-    assert table[1:].tobytes() == np.array(alone).tobytes()
+    assert table[1:].tobytes() == _scalar_terms(n).tobytes()
+
+
+def test_every_entropy_table_up_to_2000_is_the_scalar_term():
+    # numpy's AVX-512 log2 differs from math.log2 in 3,514 of these
+    # 2,001,000 terms, spread over 1,488 of the 2,000 tables
+    differ = [n for n in range(1, 2001) if infotheory.entropy_table(n)[1:]
+              .tobytes() != _scalar_terms(n).tobytes()]
+    assert differ == []
 
 
 def test_fold_adds_left_to_right_from_zero():
