@@ -274,14 +274,14 @@ def _write_nmi_csv(labels, matrix, path: Path) -> None:
 
 
 def _write_edge_report(summary: dict, out: Path, covering: str) -> None:
+    classes = {name: dict(c) for name, c in summary["classes"].items()}
     write_csv(out / "summary.csv", ["class", "count", "median"],
-              ((name, c["count"], c["median"])
-               for name, c in summary["classes"].items()))
-    write_json(out / "summary.json",
-               dict(summary, covering=covering, weights=summary["scheme"]))
-    for name, c in summary["classes"].items():
+              ((name, c["count"], c["median"]) for name, c in classes.items()))
+    for name, c in classes.items():  # the CCDF points go to the CSVs only
         write_csv(out / f"ccdf_{name}.csv", ["weight", "proportion"],
-                  c["ccdf"])
+                  c.pop("ccdf"))
+    write_json(out / "summary.json",
+               dict(summary, covering=covering, classes=classes))
 
 
 def cmd_edges(args) -> int:
@@ -315,8 +315,12 @@ def cmd_report(args) -> int:
     universe = (read_follow_edges(Path(args.graph)).nodes if args.graph
                 else None)
     coverings = _read_coverings(sorted(args.coverings), universe)
-    tables = [read_weight_table(Path(p)) for p in sorted(args.weights)]
-    _write_report(coverings, tables, Path(args.output))
+    tables = {}
+    for wg in (read_weight_table(Path(p)) for p in sorted(args.weights)):
+        if wg.scheme in tables:
+            raise ValueError(f"duplicate weight table scheme {wg.scheme!r}")
+        tables[wg.scheme] = wg
+    _write_report(coverings, tables.values(), Path(args.output))
     print(f"report: {len(coverings)} coverings summarized -> {args.output}")
     return 0
 

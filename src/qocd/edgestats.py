@@ -5,9 +5,9 @@ Given a covering, every directed edge falls in exactly one class: inter
 (some but not all shared). Singleton rows take part like any other, so two
 distinct singletons always make an inter-edge. A partition is one int8 array
 of codes into ``EDGE_CLASSES``, in edge order. Weight distributions
-conditioned on the class are summarized in one JSON-ready document: counts,
-medians, fixed-width histograms, and raw CCDF points so plots need not
-depend on binning.
+conditioned on the class are summarized in one document: counts, medians,
+fixed-width histograms, and raw CCDF points so plots need not depend on
+binning; an edge report writes the CCDF points to ``ccdf_<class>.csv`` only.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ import qocd
 import qocd.cli
 from qocd.activity import batch_coarsen, write_series_csv
 from qocd.cli import main, read_weight_table
+from qocd.communities import read_covering
+from qocd.edgestats import conditional_weights, partition_edges
 from qocd.ingest import read_events, read_follow_edges
 
 from oracles import compensated_sum
@@ -231,6 +233,31 @@ def test_every_float_field_is_its_shortest_repr(piped, tmp_path):
             assert repr(float(text)) == text, (path, text)
             kinds.add(path.stem.split("_")[0])
     assert kinds == {"weights", "nmi", "ccdf", "summary", "size"}
+
+
+def test_edge_report_holds_each_ccdf_point_once(piped):
+    """summary.json holds no CCDF point: each class's points are in its
+    ccdf_<class>.csv only, and the scheme is the only weights label."""
+    reports = sorted((piped / "edges").iterdir())
+    assert len(reports) == 12
+    for report in reports:
+        cov, wt = report.name.split("__")
+        summary = json.loads((report / "summary.json").read_text())
+        assert sorted(summary) == ["classes", "covering", "scheme"]
+        assert (summary["covering"], summary["scheme"]) == (cov, wt)
+        assert [name for name, c in summary["classes"].items()
+                if "ccdf" in c] == []
+        wg = read_weight_table(piped / "weights" / f"weights_{wt}.csv")
+        covering = read_covering(
+            piped / "coverings" / f"covering_{cov}.txt", wg.graph.nodes)
+        expected = conditional_weights(wg, partition_edges(wg, covering))
+        assert sorted(summary["classes"]) == sorted(expected["classes"])
+        for name, c in expected["classes"].items():
+            with open(report / f"ccdf_{name}.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["weight", "proportion"]
+            assert rows == [[repr(w), repr(p)] for w, p in c["ccdf"]], \
+                (report.name, name)
 
 
 def test_detect_compare_edges_report(dataset, ingested, tmp_path):
@@ -673,6 +700,20 @@ def test_report_rejects_duplicate_covering_labels(ingested, tmp_path, capsys):
     assert main(["report", *paths, "--graph", str(ingested / "graph.csv"),
                  "-o", str(out)]) == 2
     assert "duplicate covering label 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_duplicate_weight_schemes(piped, tmp_path, capsys):
+    tables = []
+    for parent in ("a", "b"):
+        (tmp_path / parent).mkdir()
+        tables.append(shutil.copy(piped / "weights" / "weights_hashtag.csv",
+                                  tmp_path / parent))
+    out = tmp_path / "report"
+    assert main(["report", str(piped / "coverings" / "covering_hashtag.txt"),
+                 "--weights", *map(str, tables), "-o", str(out)]) == 2
+    assert "duplicate weight table scheme 'hashtag'" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
